@@ -61,8 +61,7 @@ pub fn profile_mn(clos: &ClosParams) -> Vec<ProfilePoint> {
     }
     points.sort_by(|a, b| {
         a.global_apl
-            .partial_cmp(&b.global_apl)
-            .unwrap_or(std::cmp::Ordering::Equal)
+            .total_cmp(&b.global_apl)
             .then_with(|| b.m.cmp(&a.m))
     });
     points

@@ -48,24 +48,21 @@ pub trait PathProvider {
 /// ECMP + single-path TCP: hash-selects among the surviving equal-cost
 /// shortest paths, falling back to any surviving path.
 ///
-/// Caches the surviving equal-cost set (and the fallback path) per
-/// server pair; the per-flow hash then picks from the cached set, so
-/// only the first flow of a pair in each failure epoch pays for path
-/// enumeration.
+/// Routes through an [`ecmp::EcmpRouter`]: per egress switch it keeps
+/// one shortest-path table over the switch graph and unranks the
+/// hash-chosen path, interning only that path. The tables ignore
+/// failures, so they live as long as the graph; each failure epoch adds
+/// lazily computed survivor counts per egress switch. Pairs whose whole
+/// equal-cost set is down take a failure-aware shortest path, cached
+/// per pair until the epoch changes. A provider serves one graph.
 #[derive(Debug, Default)]
 pub struct EcmpProvider {
-    cache: HashMap<(NodeId, NodeId), EcmpEntry>,
+    /// Built on the first route, for that call's graph.
+    router: Option<ecmp::EcmpRouter>,
+    /// Per-pair fallback paths for the current epoch (`None` =
+    /// disconnected).
+    fallback: HashMap<(NodeId, NodeId), Option<PathId>>,
     epoch: u64,
-}
-
-#[derive(Debug)]
-struct EcmpEntry {
-    /// Equal-cost shortest paths with every link up, in the enumeration
-    /// order `ecmp::equal_cost_paths` produces.
-    alive: Vec<PathId>,
-    /// Lazily computed failure-aware shortest path, used when the whole
-    /// equal-cost set is down. `None` = not yet computed.
-    fallback: Option<Option<PathId>>,
 }
 
 impl EcmpProvider {
@@ -76,7 +73,7 @@ impl EcmpProvider {
 
     fn refresh(&mut self, epoch: u64) {
         if self.epoch != epoch {
-            self.cache.clear();
+            self.fallback.clear();
             self.epoch = epoch;
         }
     }
@@ -91,39 +88,34 @@ impl PathProvider for EcmpProvider {
         spec: &FlowSpec,
     ) -> Option<RoutedConn> {
         self.refresh(failed.epoch());
-        let entry = self
-            .cache
-            .entry((spec.src, spec.dst))
-            .or_insert_with(|| EcmpEntry {
-                alive: ecmp::equal_cost_paths(g, spec.src, spec.dst)
-                    .into_iter()
-                    .filter(|p| failed.path_alive(&p.links))
-                    .map(|p| arena.intern(p))
-                    .collect(),
-                fallback: None,
-            });
-        let chosen = if entry.alive.is_empty() {
-            // Equal-cost set fully failed: any surviving path.
-            (*entry.fallback.get_or_insert_with(|| {
-                dijkstra::shortest_path_by(g, spec.src, spec.dst, |l| {
-                    if failed.is_down(l) {
-                        f64::INFINITY
-                    } else {
-                        1.0
-                    }
-                })
-                .map(|(_, p)| arena.intern(p))
-            }))?
+        let router = self.router.get_or_insert_with(|| ecmp::EcmpRouter::new(g));
+        let (src, dst) = (spec.src, spec.dst);
+        // Hash modulo the *survivor* set. With every link up this is
+        // exactly `ecmp::select_by_hash`; under failures the flows
+        // rehash over the k' survivors (a flow can move even when its
+        // own path survived), spreading load uniformly instead of
+        // piling displaced flows onto hash-adjacent survivors. Pinned
+        // by `ecmp_failure_epoch_hashes_modulo_survivors`.
+        let path = if failed.any() {
+            router.select_surviving(g, src, dst, spec.id, failed.epoch(), |l| failed.is_down(l))
         } else {
-            // Hash modulo the *survivor* set. With every link up this is
-            // exactly `ecmp::select_by_hash`; under failures the flows
-            // rehash over the k' survivors (a flow can move even when its
-            // own path survived), spreading load uniformly instead of
-            // piling displaced flows onto hash-adjacent survivors. Pinned
-            // by `ecmp_failure_epoch_hashes_modulo_survivors`.
-            let i =
-                (ecmp::flow_hash(spec.src, spec.dst, spec.id) % entry.alive.len() as u64) as usize;
-            entry.alive[i]
+            router.select(g, src, dst, spec.id)
+        };
+        let chosen = match path {
+            Some(p) => arena.intern(p),
+            // Equal-cost set fully failed: any surviving path.
+            None => {
+                (*self.fallback.entry((src, dst)).or_insert_with(|| {
+                    dijkstra::shortest_path_by(g, src, dst, |l| {
+                        if failed.is_down(l) {
+                            f64::INFINITY
+                        } else {
+                            1.0
+                        }
+                    })
+                    .map(|(_, p)| arena.intern(p))
+                }))?
+            }
         };
         Some(RoutedConn {
             path_ids: vec![chosen],

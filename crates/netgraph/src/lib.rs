@@ -7,8 +7,9 @@
 //!
 //! * [`dijkstra`] — single-source shortest paths (hop count or weighted),
 //! * [`yen`] — Yen's k-shortest loopless paths (the paper routes on these),
-//! * [`ecmp`] — enumeration of equal-cost shortest paths and deterministic
-//!   hash-based path selection (the Clos/ECMP baseline of §5.2),
+//! * [`ecmp`] — deterministic hash-based selection among equal-cost
+//!   shortest paths by counting and unranking on the switch graph (the
+//!   Clos/ECMP baseline of §5.2), plus the enumeration oracle,
 //! * [`metrics`] — diameter and average shortest-path length (§3.4 uses the
 //!   average server-pair path length to profile the `(m, n)` split).
 //!

@@ -12,44 +12,108 @@ use crate::graph::{Graph, NodeId, NodeKind};
 /// Average hop distance over all ordered server pairs (reachable pairs
 /// only). Returns `None` when there are fewer than two servers or no pair
 /// is reachable.
+///
+/// Servers are single-homed leaves (FT-G005), so a pair on one switch is
+/// 2 hops apart and a pair on switches `S != T` is `d(S, T) + 2`: one
+/// switch-level BFS per source switch, weighted by server counts, gives
+/// the exact integer totals a BFS per server would.
 pub fn avg_server_path_length(g: &Graph) -> Option<f64> {
     let servers = g.servers();
     if servers.len() < 2 {
         return None;
     }
-    let mut total = 0usize;
-    let mut pairs = 0usize;
-    for &s in &servers {
-        let d = hop_distances(g, s);
-        for &t in &servers {
-            if t != s && d[t.idx()] != usize::MAX {
-                total += d[t.idx()];
-                pairs += 1;
-            }
-        }
-    }
-    (pairs > 0).then(|| total as f64 / pairs as f64)
+    leaf_collapsed_apl(g, &servers, &servers)
 }
 
-/// Like [`avg_server_path_length`] but BFS-ing from at most
-/// `max_sources` evenly spaced source servers — an unbiased structural
-/// sample for large networks (profiling sweeps over Table 2-sized
-/// topologies would otherwise cost minutes per candidate).
+/// Like [`avg_server_path_length`] but from at most `max_sources` evenly
+/// spaced source servers — an unbiased structural sample for large
+/// networks (profiling sweeps over Table 2-sized topologies would
+/// otherwise cost minutes per candidate).
 pub fn avg_server_path_length_sampled(g: &Graph, max_sources: usize) -> Option<f64> {
     let servers = g.servers();
     if servers.len() < 2 || max_sources == 0 {
         return None;
     }
     let stride = (servers.len() / max_sources.min(servers.len())).max(1);
+    let sources: Vec<NodeId> = servers.iter().copied().step_by(stride).collect();
+    leaf_collapsed_apl(g, &sources, &servers)
+}
+
+/// Mean hop distance from each of `sources` to every other server,
+/// computed per source *switch*.
+fn leaf_collapsed_apl(g: &Graph, sources: &[NodeId], servers: &[NodeId]) -> Option<f64> {
+    // Compact switch graph: slot per switch, CSR adjacency over slots.
+    const NONE: u32 = u32::MAX;
+    let mut slot = vec![NONE; g.node_count()];
+    let switches = g.switches();
+    for (i, &sw) in switches.iter().enumerate() {
+        slot[sw.idx()] = i as u32;
+    }
+    let mut start = Vec::with_capacity(switches.len() + 1);
+    let mut adj = Vec::new();
+    for &u in &switches {
+        start.push(adj.len());
+        adj.extend(
+            g.neighbors(u)
+                .iter()
+                .map(|&(v, _)| slot[v.idx()])
+                .filter(|&v| v != NONE),
+        );
+    }
+    start.push(adj.len());
+    // Servers (and sampled sources) per uplink switch slot; a server
+    // with no switch uplink reaches no other server.
+    let per_switch = |nodes: &[NodeId]| {
+        let mut c = vec![0usize; switches.len()];
+        for &n in nodes {
+            let sw = g.server_uplink_switch(n).map_or(NONE, |sw| slot[sw.idx()]);
+            if sw != NONE {
+                c[sw as usize] += 1;
+            }
+        }
+        c
+    };
+    let targets = per_switch(servers);
+    let weight = per_switch(sources);
+    let homes: Vec<(usize, usize)> = targets
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c > 0)
+        .map(|(s, &c)| (s, c))
+        .collect();
+    let mut dist = vec![u32::MAX; switches.len()];
+    let mut queue = Vec::with_capacity(switches.len());
     let mut total = 0usize;
     let mut pairs = 0usize;
-    for &s in servers.iter().step_by(stride) {
-        let d = hop_distances(g, s);
-        for &t in &servers {
-            if t != s && d[t.idx()] != usize::MAX {
-                total += d[t.idx()];
-                pairs += 1;
+    for &(s, _) in &homes {
+        let w = weight[s];
+        if w == 0 {
+            continue;
+        }
+        // BFS over switches from `s`.
+        dist.fill(u32::MAX);
+        queue.clear();
+        dist[s] = 0;
+        queue.push(s as u32);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let du = dist[u as usize];
+            for &v in &adj[start[u as usize]..start[u as usize + 1]] {
+                if dist[v as usize] == u32::MAX {
+                    dist[v as usize] = du + 1;
+                    queue.push(v);
+                }
             }
+        }
+        for &(t, c) in &homes {
+            if dist[t] == u32::MAX {
+                continue;
+            }
+            // Same switch: the source's other servers, 2 hops each.
+            let n = w * if t == s { c - 1 } else { c };
+            total += n * (dist[t] as usize + 2);
+            pairs += n;
         }
     }
     (pairs > 0).then(|| total as f64 / pairs as f64)
@@ -162,6 +226,20 @@ mod tests {
         // near<->far at distance 4 (6 ordered pairs).
         let apl = avg_server_path_length(&g).unwrap();
         assert!((apl - (6.0 * 2.0 + 6.0 * 4.0) / 12.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn detached_servers_add_no_pairs() {
+        // A server with no link reaches nobody: the 12 ordered pairs of
+        // `sample` stay the only ones, as a BFS per server finds.
+        let mut g = sample();
+        g.add_node(NodeKind::Server, "detached");
+        let apl = avg_server_path_length(&g).unwrap();
+        assert!((apl - (6.0 * 2.0 + 6.0 * 4.0) / 12.0).abs() < 1e-12);
+        // Stride 2 samples s0, s2 and the detached server: 2 + 2 + 4
+        // hops from each of s0 and s2.
+        let sampled = avg_server_path_length_sampled(&g, 2).unwrap();
+        assert!((sampled - 16.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

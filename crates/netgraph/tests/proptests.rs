@@ -58,8 +58,9 @@ proptest! {
         }
     }
 
-    /// Every enumerated equal-cost path has exactly the shortest length and
-    /// the hash selection always lands inside the set.
+    /// Every enumerated equal-cost path has exactly the shortest length,
+    /// the router unranks the enumeration order, and the hash selection
+    /// always lands inside the set.
     #[test]
     fn ecmp_invariants(n in 4usize..20, extra in 0usize..16, seed in any::<u64>()) {
         let g = random_connected(n, extra, seed);
@@ -72,8 +73,14 @@ proptest! {
             prop_assert_eq!(p.len(), spl);
             prop_assert!(p.validate(&g).is_ok());
         }
+        let mut router = ecmp::EcmpRouter::new(&g);
+        for (i, p) in paths.iter().enumerate() {
+            let got = router.nth_path(&g, src, dst, i);
+            prop_assert_eq!(got.as_ref(), Some(p), "rank {}", i);
+        }
+        prop_assert!(router.nth_path(&g, src, dst, paths.len()).is_none());
         for fid in 0..8u64 {
-            let chosen = ecmp::ecmp_path(&g, src, dst, fid).unwrap();
+            let chosen = router.select(&g, src, dst, fid).unwrap();
             prop_assert!(paths.contains(&chosen));
         }
     }
