@@ -38,6 +38,7 @@ fn bench(c: &mut Criterion) {
                     ..SimConfig::default()
                 },
             )
+            .expect("valid workload")
             .mean_fct()
         });
     });

@@ -7,7 +7,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flat_tree::PodMode;
-use flowsim::{simulate, try_simulate_traced, JsonlSink, NoopSink, RingSink, SimConfig, Transport};
+use flowsim::{
+    simulate, simulate_under_faults_with_provider_traced, FaultSchedule, JsonlSink, NoopSink,
+    RingSink, SimConfig, SimResult, TraceSink, Transport,
+};
 use ft_bench::experiments::common;
 
 fn workload(net: &topology::DcNetwork, rounds: u64) -> Vec<flowsim::FlowSpec> {
@@ -28,6 +31,25 @@ fn workload(net: &topology::DcNetwork, rounds: u64) -> Vec<flowsim::FlowSpec> {
     flows
 }
 
+/// The general entry point with default routing, no faults and `sink`.
+fn traced<S: TraceSink>(
+    net: &topology::DcNetwork,
+    flows: &[flowsim::FlowSpec],
+    cfg: &SimConfig,
+    sink: &mut S,
+) -> SimResult {
+    simulate_under_faults_with_provider_traced(
+        &net.graph,
+        flows,
+        cfg,
+        &FaultSchedule::empty(),
+        &mut *cfg.transport.provider(),
+        sink,
+    )
+    .expect("valid workload")
+    .result
+}
+
 fn bench(c: &mut Criterion) {
     let ft = common::flat_tree_over(common::mini_topo(1));
     let net = common::instance(&ft, PodMode::Global).net;
@@ -37,28 +59,26 @@ fn bench(c: &mut Criterion) {
         ..SimConfig::default()
     };
     c.bench_function("obs/untraced", |b| {
-        b.iter(|| simulate(&net.graph, &flows, &cfg).end_time);
-    });
-    c.bench_function("obs/noop", |b| {
         b.iter(|| {
-            try_simulate_traced(&net.graph, &flows, &cfg, &mut NoopSink)
+            simulate(&net.graph, &flows, &cfg)
                 .expect("valid workload")
                 .end_time
         });
     });
+    c.bench_function("obs/noop", |b| {
+        b.iter(|| traced(&net, &flows, &cfg, &mut NoopSink).end_time);
+    });
     c.bench_function("obs/ring", |b| {
         b.iter(|| {
             let mut sink = RingSink::new(4096);
-            let out =
-                try_simulate_traced(&net.graph, &flows, &cfg, &mut sink).expect("valid workload");
+            let out = traced(&net, &flows, &cfg, &mut sink);
             (out.end_time, sink.len())
         });
     });
     c.bench_function("obs/jsonl_vec", |b| {
         b.iter(|| {
             let mut sink = JsonlSink::new(Vec::new());
-            let out =
-                try_simulate_traced(&net.graph, &flows, &cfg, &mut sink).expect("valid workload");
+            let out = traced(&net, &flows, &cfg, &mut sink);
             (out.end_time, sink.written())
         });
     });

@@ -10,7 +10,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use flat_tree::PodMode;
 use flowsim::provider::{PathProvider, RoutedConn};
 use flowsim::sim::FlowSpec;
-use flowsim::{simulate_with_provider, FailedLinks, LinkFailure, SimConfig, Transport};
+use flowsim::{
+    simulate_under_faults_with_provider_traced, FailedLinks, FaultPlan, NoopSink, SimConfig,
+    Transport,
+};
 use ft_bench::experiments::common;
 use netgraph::{yen, Graph, LinkId, PathArena};
 use routing::SharedRouteTable;
@@ -125,23 +128,26 @@ fn bench(c: &mut Criterion) {
     let flows = workload(&net, 6);
     let cfg = SimConfig {
         transport: Transport::Mptcp { k, coupled: true },
-        link_failures: vec![LinkFailure {
-            time: 0.05,
-            link: cable,
-        }],
         ..SimConfig::default()
+    };
+    let mut plan = FaultPlan::new(1);
+    plan.flap(cable, 0.05, None);
+    let sched = plan.compile(g).expect("valid plan");
+    let run = |p: &mut dyn PathProvider| {
+        simulate_under_faults_with_provider_traced(g, &flows, &cfg, &sched, p, &mut NoopSink)
+            .expect("valid workload")
     };
     let shared = Arc::new(table);
     c.bench_function("sim_mptcp8_failure/switch_level_shared", |b| {
         b.iter(|| {
             let mut p = flowsim::provider::MptcpProvider::with_shared(shared.clone(), true);
-            black_box(simulate_with_provider(g, &flows, &cfg, &mut p))
+            black_box(run(&mut p))
         });
     });
     c.bench_function("sim_mptcp8_failure/switch_level_lazy", |b| {
         b.iter(|| {
             let mut p = flowsim::provider::MptcpProvider::new(k, true);
-            black_box(simulate_with_provider(g, &flows, &cfg, &mut p))
+            black_box(run(&mut p))
         });
     });
     c.bench_function("sim_mptcp8_failure/server_level_oracle", |b| {
@@ -151,7 +157,7 @@ fn bench(c: &mut Criterion) {
                 cache: HashMap::new(),
                 epoch: 0,
             };
-            black_box(simulate_with_provider(g, &flows, &cfg, &mut p))
+            black_box(run(&mut p))
         });
     });
 }

@@ -9,7 +9,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use flat_tree::PodMode;
 use flowsim::reference::simulate_reference;
-use flowsim::{simulate, LinkFailure, SimConfig, Transport};
+use flowsim::{
+    simulate, simulate_under_faults_with_provider_traced, FaultPlan, FaultSchedule, NoopSink,
+    SimConfig, Transport,
+};
 use ft_bench::experiments::common;
 use mcf::{AllocWorkspace, IncrementalAllocator};
 use netgraph::{Graph, LinkId};
@@ -124,10 +127,22 @@ fn bench(c: &mut Criterion) {
     let ft = common::flat_tree_over(common::mini_topo(1));
     let net = common::instance(&ft, PodMode::Global).net;
     let flows = workload(&net, 6);
-    let fail = vec![LinkFailure {
-        time: 0.05,
-        link: first_cable(&net.graph),
-    }];
+    let mut plan = FaultPlan::new(1);
+    plan.flap(first_cable(&net.graph), 0.05, None);
+    let fail = plan.compile(&net.graph).expect("valid plan");
+    let run_fail = |cfg: &SimConfig| {
+        simulate_under_faults_with_provider_traced(
+            &net.graph,
+            &flows,
+            cfg,
+            &fail,
+            &mut *cfg.transport.provider(),
+            &mut NoopSink,
+        )
+        .expect("valid workload")
+        .result
+        .end_time
+    };
     let transports = [
         ("ecmp", Transport::TcpEcmp),
         (
@@ -143,21 +158,23 @@ fn bench(c: &mut Criterion) {
             transport,
             ..SimConfig::default()
         };
-        let cfg_fail = SimConfig {
-            link_failures: fail.clone(),
-            ..cfg.clone()
-        };
         c.bench_function(&format!("simcore/engine_{tname}"), |b| {
-            b.iter(|| simulate(&net.graph, &flows, &cfg).end_time);
+            b.iter(|| {
+                simulate(&net.graph, &flows, &cfg)
+                    .expect("valid workload")
+                    .end_time
+            });
         });
         c.bench_function(&format!("simcore/reference_{tname}"), |b| {
-            b.iter(|| simulate_reference(&net.graph, &flows, &cfg).end_time);
+            b.iter(|| {
+                simulate_reference(&net.graph, &flows, &cfg, &FaultSchedule::empty()).end_time
+            });
         });
         c.bench_function(&format!("simcore/engine_{tname}_failure"), |b| {
-            b.iter(|| simulate(&net.graph, &flows, &cfg_fail).end_time);
+            b.iter(|| run_fail(&cfg));
         });
         c.bench_function(&format!("simcore/reference_{tname}_failure"), |b| {
-            b.iter(|| simulate_reference(&net.graph, &flows, &cfg_fail).end_time);
+            b.iter(|| simulate_reference(&net.graph, &flows, &cfg, &fail).end_time);
         });
     }
 }

@@ -25,8 +25,8 @@
 
 use flat_tree::PodMode;
 use flowsim::{
-    try_simulate_traced, try_simulate_with_provider_traced, AllocTelemetry, FaultSchedule,
-    LinkFailure, MptcpProvider, SimConfig, TraceEvent, TraceSink, Transport,
+    simulate_under_faults_with_provider_traced, AllocTelemetry, FaultPlan, FaultSchedule,
+    MptcpProvider, NoopSink, PathProvider, SimConfig, TraceEvent, TraceSink, Transport,
 };
 use ft_bench::dispatch::{self, DispatchConfig};
 use ft_bench::experiments::{common, faultsweep};
@@ -62,6 +62,17 @@ enum Routing {
         table: Arc<SharedRouteTable>,
         coupled: bool,
     },
+}
+
+impl Routing {
+    fn provider(&self, cfg: &SimConfig) -> Box<dyn PathProvider> {
+        match self {
+            Routing::Lazy => cfg.transport.provider(),
+            Routing::SharedMptcp { table, coupled } => {
+                Box::new(MptcpProvider::with_shared(table.clone(), *coupled))
+            }
+        }
+    }
 }
 
 fn first_cable(g: &Graph) -> LinkId {
@@ -160,47 +171,50 @@ fn measure_sim(
     net: &DcNetwork,
     flows: &[flowsim::FlowSpec],
     cfg: &SimConfig,
+    sched: &FaultSchedule,
     routing: &Routing,
     reps: u32,
 ) -> Snapshot {
+    let g = &net.graph;
     let mut counter = CountingSink(0);
-    match routing {
-        Routing::Lazy => {
-            try_simulate_traced(&net.graph, flows, cfg, &mut counter).expect("valid workload");
-        }
-        Routing::SharedMptcp { table, coupled } => {
-            let mut prov = MptcpProvider::with_shared(table.clone(), *coupled);
-            try_simulate_with_provider_traced(&net.graph, flows, cfg, &mut prov, &mut counter)
-                .expect("valid workload");
-        }
-    }
+    simulate_under_faults_with_provider_traced(
+        g,
+        flows,
+        cfg,
+        sched,
+        &mut *routing.provider(cfg),
+        &mut counter,
+    )
+    .expect("valid workload");
     let mut best_ms = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let out = match routing {
-            Routing::Lazy => flowsim::simulate(&net.graph, flows, cfg),
-            Routing::SharedMptcp { table, coupled } => {
-                let mut prov = MptcpProvider::with_shared(table.clone(), *coupled);
-                flowsim::simulate_with_provider(&net.graph, flows, cfg, &mut prov)
-            }
-        };
+        let mut provider = routing.provider(cfg);
+        let out = simulate_under_faults_with_provider_traced(
+            g,
+            flows,
+            cfg,
+            sched,
+            &mut *provider,
+            &mut NoopSink,
+        )
+        .expect("valid workload");
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        std::hint::black_box(out.end_time);
+        std::hint::black_box(out.result.end_time);
         best_ms = best_ms.min(wall_ms);
     }
     // Untimed telemetry pass for shared-table workloads: same engine
-    // path plus the fault auditor, so it is never the timed run.
+    // path, so it is never the timed run.
     let alloc = match routing {
         Routing::Lazy => None,
-        Routing::SharedMptcp { table, coupled } => {
+        Routing::SharedMptcp { .. } => {
             let mut tel = AllocTelemetry::default();
-            let mut prov = MptcpProvider::with_shared(table.clone(), *coupled);
             flowsim::simulate_with_telemetry(
-                &net.graph,
+                g,
                 flows,
                 cfg,
-                &FaultSchedule::default(),
-                &mut prov,
+                sched,
+                &mut *routing.provider(cfg),
                 &mut tel,
             )
             .expect("valid workload");
@@ -475,10 +489,10 @@ fn main() {
     let ft = common::flat_tree_over(common::mini_topo(1));
     let net = common::instance(&ft, PodMode::Global).net;
     let flows = workload(&net, rounds);
-    let fail = vec![LinkFailure {
-        time: 0.05,
-        link: first_cable(&net.graph),
-    }];
+    let mut plan = FaultPlan::new(1);
+    plan.flap(first_cable(&net.graph), 0.05, None);
+    let fail = plan.compile(&net.graph).expect("valid plan");
+    let no_faults = FaultSchedule::empty();
     let ecmp = SimConfig {
         transport: Transport::TcpEcmp,
         ..SimConfig::default()
@@ -505,15 +519,8 @@ fn main() {
         ("sim_mptcp8_failure", &mptcp, &shared, true),
     ];
     for (name, cfg, routing, with_failure) in cases {
-        let cfg = if with_failure {
-            SimConfig {
-                link_failures: fail.clone(),
-                ..cfg.clone()
-            }
-        } else {
-            cfg.clone()
-        };
-        let snap = measure_sim(name, &net, &flows, &cfg, routing, reps);
+        let sched = if with_failure { &fail } else { &no_faults };
+        let snap = measure_sim(name, &net, &flows, cfg, sched, routing, reps);
         eprintln!(
             "perfsnap: {:<22} {:>9.1} ms  {:>9} events  {:>8} kB peak",
             snap.name, snap.wall_ms, snap.events, snap.peak_rss_kb

@@ -8,8 +8,10 @@ use crate::report::{f3, percentile, print_table, sorted};
 use crate::sweep::sweep;
 use crate::Scale;
 use flat_tree::PodMode;
-use flowsim::provider::{EcmpProvider, MptcpProvider};
-use flowsim::{simulate_with_provider, SimConfig, Transport};
+use flowsim::provider::{MptcpProvider, PathProvider};
+use flowsim::{
+    simulate_under_faults_with_provider_traced, FaultSchedule, NoopSink, SimConfig, Transport,
+};
 use routing::SharedRouteTable;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -142,19 +144,22 @@ pub fn run(scale: Scale) -> Vec<Curve> {
             transport: *transport,
             ..SimConfig::default()
         };
-        let res = match (*transport, table) {
+        let mut provider: Box<dyn PathProvider> = match (*transport, table) {
             (Transport::Mptcp { coupled, .. }, Some(t)) => {
-                let mut p = MptcpProvider::with_shared(t.clone(), coupled);
-                simulate_with_provider(&net.graph, &flows, &cfg, &mut p)
+                Box::new(MptcpProvider::with_shared(t.clone(), coupled))
             }
-            (Transport::Mptcp { k, coupled }, None) => {
-                let mut p = MptcpProvider::new(k, coupled);
-                simulate_with_provider(&net.graph, &flows, &cfg, &mut p)
-            }
-            (Transport::TcpEcmp, _) => {
-                simulate_with_provider(&net.graph, &flows, &cfg, &mut EcmpProvider::new())
-            }
+            _ => transport.provider(),
         };
+        let res = simulate_under_faults_with_provider_traced(
+            &net.graph,
+            &flows,
+            &cfg,
+            &FaultSchedule::empty(),
+            &mut *provider,
+            &mut NoopSink,
+        )
+        .expect("fig8 workload is valid")
+        .result;
         let fcts_ms: Vec<f64> = res.sorted_fcts().iter().map(|s| s * 1e3).collect();
         assert!(!fcts_ms.is_empty(), "no flow completed on {name}");
         let s = sorted(&fcts_ms);

@@ -71,7 +71,8 @@ fn mean_fct_ms(inst: &FlatTreeInstance, flows: &[FlowSpec]) -> f64 {
             },
             ..SimConfig::default()
         },
-    );
+    )
+    .expect("hybrid workload is valid");
     res.mean_fct().expect("flows complete") * 1e3
 }
 

@@ -11,8 +11,10 @@ use control::conversion::DelayModel;
 use control::resilient::{run_conversion_traced, ConversionWork, RetryPolicy};
 use flat_tree::PodMode;
 use flowsim::faults::ControlFaults;
+use flowsim::faults::FaultPlan;
 use flowsim::{
-    simulate_under_faults_traced, try_simulate_traced, JsonlSink, LinkFailure, SimConfig, Transport,
+    simulate_under_faults_with_provider_traced, FaultSchedule, FlowSpec, JsonlSink, SimConfig,
+    Transport,
 };
 use ft_bench::experiments::common;
 use netgraph::{Graph, LinkId, NodeId, NodeKind};
@@ -41,6 +43,27 @@ fn dumbbell() -> (Graph, Vec<NodeId>, LinkId) {
     (g, servers, core)
 }
 
+/// Runs `flows` under `sched` with default routing into a JSONL sink.
+fn run_jsonl(
+    g: &Graph,
+    flows: &[FlowSpec],
+    cfg: &SimConfig,
+    sched: &FaultSchedule,
+) -> (flowsim::FaultSimOutcome, Vec<u8>) {
+    let mut sink = JsonlSink::new(Vec::new());
+    let out = simulate_under_faults_with_provider_traced(
+        g,
+        flows,
+        cfg,
+        sched,
+        &mut *cfg.transport.provider(),
+        &mut sink,
+    )
+    .expect("valid scenario");
+    assert!(sink.take_error().is_none());
+    (out, sink.into_inner().expect("vec sink cannot fail"))
+}
+
 fn traced_engine_jsonl() -> Vec<u8> {
     let ft = common::flat_tree_over(common::mini_topo(2));
     let net = common::instance(&ft, PodMode::Global).net;
@@ -51,17 +74,14 @@ fn traced_engine_jsonl() -> Vec<u8> {
             k: 8,
             coupled: true,
         },
-        link_failures: vec![LinkFailure {
-            time: 0.2,
-            link: first_cable(&net.graph),
-        }],
         record_series: false,
     };
-    let mut sink = JsonlSink::new(Vec::new());
-    let out = try_simulate_traced(&net.graph, &flows, &cfg, &mut sink).expect("valid scenario");
-    assert!(out.end_time > 0.2, "failure must land mid-run");
-    assert!(sink.take_error().is_none());
-    sink.into_inner().expect("vec sink cannot fail")
+    let mut plan = FaultPlan::new(1);
+    plan.flap(first_cable(&net.graph), 0.2, None);
+    let sched = plan.compile(&net.graph).expect("valid plan");
+    let (out, jsonl) = run_jsonl(&net.graph, &flows, &cfg, &sched);
+    assert!(out.result.end_time > 0.2, "failure must land mid-run");
+    jsonl
 }
 
 #[test]
@@ -128,22 +148,19 @@ fn conversion_trace_stream_is_byte_identical_across_runs() {
 #[test]
 fn dumbbell_flap_trace_matches_inline_golden() {
     let (g, s, core) = dumbbell();
-    let flows = vec![flowsim::FlowSpec {
+    let flows = vec![FlowSpec {
         id: 0,
         src: s[0],
         dst: s[2],
         bytes: 1.25e9,
         start: 0.0,
     }];
-    let mut plan = flowsim::faults::FaultPlan::new(1);
+    let mut plan = FaultPlan::new(1);
     plan.flap(core, 0.5, None); // permanent fault
     let sched = plan.compile(&g).expect("valid plan");
-    let mut sink = JsonlSink::new(Vec::new());
-    let out = simulate_under_faults_traced(&g, &flows, &SimConfig::default(), &sched, &mut sink)
-        .expect("valid input");
+    let (out, jsonl) = run_jsonl(&g, &flows, &SimConfig::default(), &sched);
     assert_eq!(out.audit.parked, 1);
-    let text = String::from_utf8(sink.into_inner().expect("vec sink cannot fail"))
-        .expect("JSONL is UTF-8");
+    let text = String::from_utf8(jsonl).expect("JSONL is UTF-8");
     let got: Vec<&str> = text.lines().collect();
     // The first epoch runs before the t=0 arrival is admitted (empty
     // allocation), then re-allocates with the flow active; the 0.5 s

@@ -36,16 +36,6 @@ impl DelayModel {
             per_rule_add_ms: 0.15,
         }
     }
-
-    /// Uncalibrated model with §4.3's quoted ~1 ms per rule update, for
-    /// studying the distributed-controller scaling options.
-    pub fn modern_sdn() -> Self {
-        Self {
-            ocs_ms: 160.0,
-            per_rule_delete_ms: 1.0,
-            per_rule_add_ms: 1.0,
-        }
-    }
 }
 
 /// Outcome of one conversion.

@@ -80,12 +80,6 @@ impl ConverterConfig {
         }
     }
 
-    /// True when the configuration relocates the server off the edge
-    /// switch.
-    pub fn relocates_server(self) -> bool {
-        !matches!(self, Self::Default)
-    }
-
     /// True when the side bundle is active (server sits on the core).
     pub fn uses_side_ports(self) -> bool {
         matches!(self, Self::Side | Self::Cross)

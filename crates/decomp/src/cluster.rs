@@ -1,7 +1,6 @@
 //! Deterministic greedy clustering of links by signature distance.
 
 use crate::signature::LinkSignature;
-use netgraph::LinkId;
 
 /// One cluster: the representative population index and its members.
 #[derive(Debug, Clone)]
@@ -73,17 +72,12 @@ pub fn compression(clusters: &Clusters) -> (usize, usize) {
     (clusters.assign.len(), clusters.clusters.len())
 }
 
-/// The representative's link id of each cluster, for reporting.
-pub fn rep_links(clusters: &Clusters, links: &[LinkId]) -> Vec<LinkId> {
-    clusters.clusters.iter().map(|c| links[c.rep]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{LinkPop, PopFlow};
     use crate::signature::signatures;
-    use netgraph::{Graph, NodeKind};
+    use netgraph::{Graph, LinkId, NodeKind};
 
     fn parallel_links(n: usize) -> Graph {
         let mut g = Graph::new();

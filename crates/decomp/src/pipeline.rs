@@ -205,10 +205,9 @@ pub fn simulate_link_local(cap_gbps: f64, pop: &LinkPop) -> Result<Vec<Option<f6
         .collect();
     let cfg = SimConfig {
         transport: Transport::TcpEcmp,
-        link_failures: Vec::new(),
         record_series: false,
     };
-    let res = flowsim::try_simulate(&g, &specs, &cfg)?;
+    let res = flowsim::simulate(&g, &specs, &cfg)?;
     Ok(res.records.iter().map(FlowRecord::fct).collect())
 }
 
@@ -414,10 +413,9 @@ mod tests {
         let flows = cross_flows(&l, &r, 0.625e9);
         let cfg = SimConfig {
             transport: Transport::TcpEcmp,
-            link_failures: Vec::new(),
             record_series: false,
         };
-        let exact = flowsim::simulate(&g, &flows, &cfg);
+        let exact = flowsim::simulate(&g, &flows, &cfg).expect("valid workload");
         for clustering in [false, true] {
             let out = decompose(
                 &g,

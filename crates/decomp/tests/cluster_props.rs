@@ -61,7 +61,6 @@ fn dumbbell(n: usize) -> (Graph, Vec<NodeId>, Vec<NodeId>) {
 fn exact_cfg() -> SimConfig {
     SimConfig {
         transport: Transport::TcpEcmp,
-        link_failures: Vec::new(),
         record_series: false,
     }
 }
@@ -130,7 +129,7 @@ proptest! {
                 start: rng.gen_range(0.0..0.2),
             })
             .collect();
-        let exact = flowsim::simulate(&g, &flows, &exact_cfg());
+        let exact = flowsim::simulate(&g, &flows, &exact_cfg()).expect("valid workload");
         let cfg = DecompConfig { threshold: 0.0, clustering };
         let out = decompose(&g, &flows, &cfg).expect("valid workload");
         for (a, b) in out.result.records.iter().zip(&exact.records) {
@@ -174,7 +173,7 @@ proptest! {
                 }
             })
             .collect();
-        let exact = flowsim::simulate(&net.graph, &flows, &exact_cfg());
+        let exact = flowsim::simulate(&net.graph, &flows, &exact_cfg()).expect("valid workload");
         let out = decompose(&net.graph, &flows, &DecompConfig::default())
             .expect("valid workload");
         let ef = sorted_fcts(&exact);

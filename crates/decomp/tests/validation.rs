@@ -36,10 +36,9 @@ fn specs(net: &DcNetwork, pairs: &[(usize, usize)], bytes: f64) -> Vec<FlowSpec>
 fn exact(net: &DcNetwork, flows: &[FlowSpec]) -> SimResult {
     let cfg = SimConfig {
         transport: Transport::TcpEcmp,
-        link_failures: Vec::new(),
         record_series: false,
     };
-    flowsim::simulate(&net.graph, flows, &cfg)
+    flowsim::simulate(&net.graph, flows, &cfg).expect("valid workload")
 }
 
 fn sorted_fcts(r: &SimResult) -> Vec<f64> {

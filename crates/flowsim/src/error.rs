@@ -1,10 +1,9 @@
 //! Typed errors for the simulator's fallible public paths.
 //!
-//! The engine used to `assert!`/`unwrap()` its way through bad input
-//! (NaN start times, self-flows, empty flows). Callers that construct
-//! workloads programmatically get typed errors instead via
-//! [`try_simulate`](crate::sim::try_simulate); the panicking wrappers
-//! remain for callers whose inputs are correct by construction.
+//! Every run entry point validates its workload and fault schedule and
+//! returns a typed [`SimError`] instead of panicking on bad input (NaN
+//! start times, self-flows, empty flows, malformed schedules). Callers
+//! whose inputs are correct by construction `expect` the result.
 
 use netgraph::NodeId;
 
@@ -36,12 +35,18 @@ pub enum SimError {
         /// The allocator's typed rejection.
         source: mcf::AllocError,
     },
-    /// A timed link failure's time is NaN or infinite.
+    /// A fault-schedule event's time is NaN or infinite.
     NonFiniteFailureTime,
-    /// A timed link failure names a link outside the graph.
+    /// A fault-schedule event names a link outside the graph.
     UnknownFailedLink {
         /// The out-of-range directed-link index.
         link: usize,
+    },
+    /// A fault schedule's event times decrease: the event at `index`
+    /// is earlier than the one before it.
+    UnsortedSchedule {
+        /// Position of the first out-of-order event.
+        index: usize,
     },
 }
 
@@ -60,9 +65,12 @@ impl std::fmt::Display for SimError {
             Self::InvalidAllocEntity { source } => {
                 write!(f, "allocation entity rejected: {source}")
             }
-            Self::NonFiniteFailureTime => write!(f, "link failure time is not finite"),
+            Self::NonFiniteFailureTime => write!(f, "fault event time is not finite"),
             Self::UnknownFailedLink { link } => {
-                write!(f, "link failure names unknown directed link {link}")
+                write!(f, "fault event names unknown directed link {link}")
+            }
+            Self::UnsortedSchedule { index } => {
+                write!(f, "fault event {index} is earlier than the event before it")
             }
         }
     }

@@ -20,44 +20,56 @@
 //!   shared bottleneck but still fills disjoint paths; uncoupled gives
 //!   every subflow full weight.
 //!
-//! Failure injection: timed link failures drop the affected subflows and
-//! re-route connections over the surviving k-shortest paths, exercising
-//! the §4.2.1 footnote's resilience claim.
-
+//! Failure injection: a compiled [`FaultSchedule`] fails (and
+//! optionally recovers) links mid-run; connections re-route over the
+//! surviving paths, exercising the §4.2.1 footnote's resilience claim.
+//!
+//! # Running the engine
+//!
+//! Three entry points, one engine underneath:
+//!
+//! * [`simulate`] — default routing for the configured [`Transport`]
+//!   ([`Transport::provider`]), no faults, no tracing.
+//! * [`simulate_under_faults_with_provider_traced`] — the general
+//!   entry: a [`FaultSchedule`], a caller-chosen [`PathProvider`] and a
+//!   [`TraceSink`] ([`NoopSink`] when untraced).
+//! * [`simulate_with_telemetry`] — the general entry without a sink,
+//!   additionally summing the allocator's effort counters
+//!   ([`AllocTelemetry`]).
+//!
+//! All three validate their input and return a typed [`SimError`].
 //!
 //! # Engine layout
 //!
-//! The event loop ([`sim::simulate_with_provider`]) works entirely on
-//! interned paths: routes come from a [`provider::PathProvider`] as
-//! [`netgraph::PathId`]s in a per-run [`netgraph::PathArena`], failures
-//! are a dense [`failures::FailedLinks`] set whose *epoch* invalidates
-//! the provider's route cache, and rate allocation reuses one
-//! [`mcf::AllocWorkspace`] across events. The pre-refactor engine is
-//! preserved in [`mod@reference`] as the behavioral oracle: both engines
-//! produce bit-identical [`SimResult`]s.
-
+//! The event loop works entirely on interned paths: routes come from a
+//! [`provider::PathProvider`] as [`netgraph::PathId`]s in a per-run
+//! [`netgraph::PathArena`], failures are a dense
+//! [`failures::FailedLinks`] set whose *epoch* invalidates the
+//! provider's route cache, and rate allocation runs incrementally over
+//! persistent bindings. The pre-refactor engine is preserved in
+//! [`mod@reference`] as the behavioral oracle: both engines produce
+//! bit-identical [`SimResult`]s under permanent failures.
 //!
 //! # Fault plane
 //!
-//! [`faults`] is the fault-injection substrate: a seeded, deterministic
-//! [`faults::FaultPlan`] (link flaps that fail **and recover**, whole-
-//! switch down/up, stuck converters, control-plane fault rates) compiles
-//! against a graph into a [`faults::FaultSchedule`] that
-//! [`sim::simulate_under_faults`] replays, parking connections that lose
-//! every path and reviving them on recovery. The run's invariant auditor
-//! ([`faults::AuditReport`]) certifies that no flow ever carried rate
-//! over a dead link and that routing state stayed consistent after every
-//! fault event.
-
+//! [`faults`] is the only failure model: a seeded, deterministic
+//! [`faults::FaultPlan`] (link flaps that fail **and recover**, or
+//! permanent cuts; whole-switch down/up, stuck converters,
+//! control-plane fault rates) compiles against a graph into a
+//! time-sorted [`faults::FaultSchedule`] that the engine replays,
+//! parking connections that lose every path and reviving them on
+//! recovery. Whenever the schedule is non-empty the run's invariant
+//! auditor ([`faults::AuditReport`]) certifies that no flow ever
+//! carried rate over a dead link and that routing state stayed
+//! consistent after every fault event.
 //!
 //! # Observability
 //!
-//! Every entry point has a `*_traced` twin taking a
-//! [`TraceSink`] that receives the flow lifecycle
-//! (start / reroute / park / revive / finish), per-epoch allocator and
-//! link-utilization events, and applied fault events. The plain entry
-//! points pass [`NoopSink`]; its emission guards compile away, so the
-//! un-traced engine is bit-identical and pays nothing.
+//! The sink receives the flow lifecycle (start / reroute / park /
+//! revive / finish), per-epoch allocator and link-utilization events,
+//! and applied fault events. Every emission is guarded by
+//! [`TraceSink::enabled`]; with [`NoopSink`] the guards compile away,
+//! so an untraced run is bit-identical and pays nothing.
 
 pub mod alloc;
 pub mod error;
@@ -73,11 +85,8 @@ pub use failures::FailedLinks;
 pub use faults::{AuditReport, ControlFaults, FaultPlan, FaultSchedule, LinkEvent, StuckConfig};
 pub use provider::{EcmpProvider, MptcpProvider, PathProvider, RoutedConn};
 pub use sim::{
-    simulate, simulate_under_faults, simulate_under_faults_traced,
-    simulate_under_faults_with_provider, simulate_under_faults_with_provider_traced,
-    simulate_with_provider, simulate_with_telemetry, try_simulate, try_simulate_traced,
-    try_simulate_with_provider, try_simulate_with_provider_traced, FaultSimOutcome, FlowRecord,
-    FlowSpec, LinkFailure, SimConfig, SimResult, Transport,
+    simulate, simulate_under_faults_with_provider_traced, simulate_with_telemetry, FaultSimOutcome,
+    FlowRecord, FlowSpec, SimConfig, SimResult, Transport,
 };
 // Re-exported so traced callers need not depend on `obs` directly.
 pub use obs::{JsonlSink, NoopSink, ParkCause, RingSink, TraceEvent, TraceSink};

@@ -1,4 +1,4 @@
-//! The pre-refactor simulation engine, kept verbatim.
+//! The pre-refactor simulation engine, kept as the behavioral oracle.
 //!
 //! [`simulate_reference`] is the event loop as it existed before the
 //! engine refactor (interned paths, reusable allocation workspace,
@@ -8,8 +8,14 @@
 //! [`SimResult`]s — and the baseline the `bench_simcore` benchmark
 //! measures the refactored engine against. It is not meant for
 //! production use.
+//!
+//! The oracle predates recoveries: it replays a down-only
+//! [`FaultSchedule`] (permanent cuts, as compiled from
+//! `FaultPlan::flap(link, t, None)`) and drops connections that lose
+//! every path.
 
 use crate::alloc::{connection_rates, ConnPaths};
+use crate::faults::FaultSchedule;
 use crate::sim::{FlowRecord, FlowSpec, SimConfig, SimResult, Transport};
 use crate::sim::{DONE_BYTES, GBPS_TO_BPS, STALL_RATE};
 use netgraph::{ecmp, yen, Graph};
@@ -22,8 +28,21 @@ struct Active {
     conn: ConnPaths,
 }
 
-/// Runs the fluid simulation with the pre-refactor engine.
-pub fn simulate_reference(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> SimResult {
+/// Runs the fluid simulation with the pre-refactor engine under a
+/// time-sorted, down-only fault schedule.
+///
+/// Panics if `schedule` contains a recovery (`up`) event.
+pub fn simulate_reference(
+    g: &Graph,
+    flows: &[FlowSpec],
+    cfg: &SimConfig,
+    schedule: &FaultSchedule,
+) -> SimResult {
+    assert!(
+        schedule.events.iter().all(|e| !e.up),
+        "the reference engine models permanent failures only"
+    );
+    let failures = &schedule.events;
     let mut caps: Vec<f64> = g.link_ids().map(|l| g.link(l).capacity_gbps).collect();
     let k = match cfg.transport {
         Transport::TcpEcmp => 1,
@@ -43,8 +62,6 @@ pub fn simulate_reference(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> Sim
         .collect();
     let mut order: Vec<usize> = (0..flows.len()).collect();
     order.sort_by(|&a, &b| flows[a].start.total_cmp(&flows[b].start).then(a.cmp(&b)));
-    let mut failures = cfg.link_failures.clone();
-    failures.sort_by(|a, b| a.time.total_cmp(&b.time));
     let mut failed: std::collections::HashSet<usize> = std::collections::HashSet::new();
 
     let mut next_arrival = 0usize;
@@ -180,10 +197,6 @@ pub fn simulate_reference(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> Sim
             next_failure += 1;
             failed.insert(f.link.idx());
             caps[f.link.idx()] = 0.0;
-            if let Some(rev) = g.link(f.link).reverse {
-                failed.insert(rev.idx());
-                caps[rev.idx()] = 0.0;
-            }
             failed_now = true;
         }
         if failed_now {
@@ -205,14 +218,8 @@ pub fn simulate_reference(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> Sim
                     }
                 }
             }
-            active.retain(|a| {
-                if a.conn.paths.is_empty() {
-                    // Permanently stalled; finish stays None.
-                    false
-                } else {
-                    true
-                }
-            });
+            // Permanently stalled connections drop out; finish stays None.
+            active.retain(|a| !a.conn.paths.is_empty());
         }
     }
 

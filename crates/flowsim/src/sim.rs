@@ -13,8 +13,8 @@
 //! # Event batching
 //!
 //! All events that land within `1e-15` s of the epoch time — arrivals,
-//! completions, legacy failures, and fault-plan edges — are drained in
-//! one pass before the next allocation runs, so simultaneous events
+//! completions and fault-schedule edges — are drained in one pass
+//! before the next allocation runs, so simultaneous events
 //! form a single allocation epoch rather than one epoch each. The
 //! incremental allocator then reconciles exactly the entities that
 //! batch touched.
@@ -24,7 +24,7 @@ use crate::error::SimError;
 use crate::failures::FailedLinks;
 use crate::faults::{AuditReport, FaultSchedule, LinkEvent};
 use crate::provider::{EcmpProvider, MptcpProvider, PathProvider};
-use netgraph::{Graph, LinkId, NodeId, PathArena, PathId};
+use netgraph::{Graph, NodeId, PathArena, PathId};
 use obs::{NoopSink, ParkCause, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 
@@ -73,15 +73,15 @@ impl Transport {
             coupled: true,
         }
     }
-}
 
-/// A timed link failure (the cable is cut: both directions die).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LinkFailure {
-    /// Failure time in seconds.
-    pub time: f64,
-    /// Either direction of the failed cable.
-    pub link: LinkId,
+    /// The default routing for this transport: [`EcmpProvider`] for
+    /// TCP, a lazily filled [`MptcpProvider`] for MPTCP.
+    pub fn provider(&self) -> Box<dyn PathProvider> {
+        match *self {
+            Transport::TcpEcmp => Box::new(EcmpProvider::new()),
+            Transport::Mptcp { k, coupled } => Box::new(MptcpProvider::new(k, coupled)),
+        }
+    }
 }
 
 /// Simulation configuration.
@@ -89,8 +89,6 @@ pub struct LinkFailure {
 pub struct SimConfig {
     /// Transport model.
     pub transport: Transport,
-    /// Timed link failures.
-    pub link_failures: Vec<LinkFailure>,
     /// Record the total-goodput time series (one point per event).
     pub record_series: bool,
 }
@@ -99,7 +97,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             transport: Transport::mptcp8(),
-            link_failures: Vec::new(),
             record_series: false,
         }
     }
@@ -231,8 +228,8 @@ pub struct FaultSimOutcome {
     pub audit: AuditReport,
 }
 
-/// Validates a workload against the graph and configuration.
-fn validate_inputs(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> Result<(), SimError> {
+/// Validates a workload and a fault schedule against the graph.
+fn validate_inputs(g: &Graph, flows: &[FlowSpec], schedule: &[LinkEvent]) -> Result<(), SimError> {
     for f in flows {
         if !f.start.is_finite() {
             return Err(SimError::NonFiniteStart { flow: f.id });
@@ -250,118 +247,7 @@ fn validate_inputs(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> Result<(),
             });
         }
     }
-    for lf in &cfg.link_failures {
-        if !lf.time.is_finite() {
-            return Err(SimError::NonFiniteFailureTime);
-        }
-        if lf.link.idx() >= g.link_count() {
-            return Err(SimError::UnknownFailedLink {
-                link: lf.link.idx(),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Runs the fluid simulation.
-///
-/// Flows may arrive in any order (sorted internally). Unroutable flows
-/// (disconnected endpoints) are recorded as never finishing.
-///
-/// Panics on invalid input; use [`try_simulate`] for a typed error.
-pub fn simulate(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> SimResult {
-    try_simulate(g, flows, cfg).unwrap_or_else(|e| panic!("invalid simulation input: {e}"))
-}
-
-/// [`simulate`] with typed input validation instead of panics.
-pub fn try_simulate(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> Result<SimResult, SimError> {
-    try_simulate_traced(g, flows, cfg, &mut NoopSink)
-}
-
-/// [`try_simulate`] with a caller-supplied [`TraceSink`] receiving the
-/// flow-lifecycle and per-epoch events. With [`NoopSink`] this **is**
-/// [`try_simulate`]: the guard blocks compile away and the result is
-/// bit-identical.
-pub fn try_simulate_traced<S: TraceSink>(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    sink: &mut S,
-) -> Result<SimResult, SimError> {
-    match cfg.transport {
-        Transport::TcpEcmp => {
-            try_simulate_with_provider_traced(g, flows, cfg, &mut EcmpProvider::new(), sink)
-        }
-        Transport::Mptcp { k, coupled } => try_simulate_with_provider_traced(
-            g,
-            flows,
-            cfg,
-            &mut MptcpProvider::new(k, coupled),
-            sink,
-        ),
-    }
-}
-
-/// Runs the fluid simulation with a caller-supplied routing provider.
-///
-/// [`simulate`] wires the standard providers for [`Transport`]; this
-/// entry point lets experiments substitute custom routing (the provider
-/// must be deterministic — see [`PathProvider`]). Note `cfg.transport`
-/// still selects the fairness weights reported by the provider itself;
-/// the engine uses whatever the provider returns.
-///
-/// Panics on invalid input; use [`try_simulate_with_provider`] for a
-/// typed error.
-pub fn simulate_with_provider<P: PathProvider + ?Sized>(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    provider: &mut P,
-) -> SimResult {
-    try_simulate_with_provider(g, flows, cfg, provider)
-        .unwrap_or_else(|e| panic!("invalid simulation input: {e}"))
-}
-
-/// [`simulate_with_provider`] with typed input validation.
-pub fn try_simulate_with_provider<P: PathProvider + ?Sized>(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    provider: &mut P,
-) -> Result<SimResult, SimError> {
-    try_simulate_with_provider_traced(g, flows, cfg, provider, &mut NoopSink)
-}
-
-/// [`try_simulate_with_provider`] with a caller-supplied [`TraceSink`].
-pub fn try_simulate_with_provider_traced<P: PathProvider + ?Sized, S: TraceSink>(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    provider: &mut P,
-    sink: &mut S,
-) -> Result<SimResult, SimError> {
-    validate_inputs(g, flows, cfg)?;
-    Ok(run_engine(g, flows, cfg, provider, &[], None, None, sink))
-}
-
-/// [`simulate_under_faults_with_provider`] that additionally sums the
-/// incremental allocator's per-epoch effort counters into `telemetry`.
-///
-/// An empty `schedule` takes exactly the fault-free code path (modulo
-/// the auditor, which never perturbs the result), so this one entry
-/// point serves both the steady-state and failure benchmarks. The
-/// counters are plain integer adds on the epoch boundary; they do not
-/// change the simulation.
-pub fn simulate_with_telemetry<P: PathProvider + ?Sized>(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    schedule: &FaultSchedule,
-    provider: &mut P,
-    telemetry: &mut AllocTelemetry,
-) -> Result<FaultSimOutcome, SimError> {
-    validate_inputs(g, flows, cfg)?;
-    for ev in &schedule.events {
+    for (index, ev) in schedule.iter().enumerate() {
         if !ev.time.is_finite() {
             return Err(SimError::NonFiniteFailureTime);
         }
@@ -370,82 +256,40 @@ pub fn simulate_with_telemetry<P: PathProvider + ?Sized>(
                 link: ev.link.idx(),
             });
         }
+        if index > 0 && ev.time < schedule[index - 1].time {
+            return Err(SimError::UnsortedSchedule { index });
+        }
     }
-    let mut audit = AuditReport::default();
-    let result = run_engine(
-        g,
-        flows,
-        cfg,
-        provider,
-        &schedule.events,
-        Some(&mut audit),
-        Some(telemetry),
-        &mut NoopSink,
-    );
-    Ok(FaultSimOutcome { result, audit })
+    Ok(())
 }
 
-/// Runs the fluid simulation under a compiled fault schedule, with the
-/// invariant auditor enabled.
+/// Runs the fluid simulation with the default routing for
+/// `cfg.transport` ([`Transport::provider`]), no faults and no tracing.
 ///
-/// The schedule's recovery events exercise graceful-degradation routing:
-/// connections that lose every path are *parked* (not dropped) and
-/// re-routed when a recovery event restores connectivity, and arrivals
-/// during a partition wait parked for the network to heal. With an
-/// empty schedule the engine takes exactly the fault-free code path and
-/// the result is bit-identical to [`simulate`].
-pub fn simulate_under_faults(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    schedule: &FaultSchedule,
-) -> Result<FaultSimOutcome, SimError> {
-    simulate_under_faults_traced(g, flows, cfg, schedule, &mut NoopSink)
+/// Flows may arrive in any order (sorted internally). Unroutable flows
+/// (disconnected endpoints) are recorded as never finishing.
+pub fn simulate(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> Result<SimResult, SimError> {
+    let (schedule, provider) = (FaultSchedule::empty(), &mut *cfg.transport.provider());
+    simulate_under_faults_with_provider_traced(g, flows, cfg, &schedule, provider, &mut NoopSink)
+        .map(|out| out.result)
 }
 
-/// [`simulate_under_faults`] with a caller-supplied [`TraceSink`]: the
-/// sink additionally sees every applied fault event (`LinkDown` /
-/// `LinkUp`) and the park/revive lifecycle.
-pub fn simulate_under_faults_traced<S: TraceSink>(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    schedule: &FaultSchedule,
-    sink: &mut S,
-) -> Result<FaultSimOutcome, SimError> {
-    match cfg.transport {
-        Transport::TcpEcmp => simulate_under_faults_with_provider_traced(
-            g,
-            flows,
-            cfg,
-            schedule,
-            &mut EcmpProvider::new(),
-            sink,
-        ),
-        Transport::Mptcp { k, coupled } => simulate_under_faults_with_provider_traced(
-            g,
-            flows,
-            cfg,
-            schedule,
-            &mut MptcpProvider::new(k, coupled),
-            sink,
-        ),
-    }
-}
-
-/// [`simulate_under_faults`] with a caller-supplied routing provider.
-pub fn simulate_under_faults_with_provider<P: PathProvider + ?Sized>(
-    g: &Graph,
-    flows: &[FlowSpec],
-    cfg: &SimConfig,
-    schedule: &FaultSchedule,
-    provider: &mut P,
-) -> Result<FaultSimOutcome, SimError> {
-    simulate_under_faults_with_provider_traced(g, flows, cfg, schedule, provider, &mut NoopSink)
-}
-
-/// [`simulate_under_faults_with_provider`] with a caller-supplied
-/// [`TraceSink`].
+/// The general entry point: runs the fluid simulation under a fault
+/// schedule, with a caller-supplied routing provider and trace sink.
+///
+/// The provider must be deterministic (see [`PathProvider`]);
+/// [`Transport::provider`] builds the default one. The engine uses
+/// whatever routes and weights the provider returns.
+///
+/// The schedule's events must be sorted by time. A recovery event
+/// exercises graceful-degradation routing: connections that lose every
+/// path are *parked* (not dropped) and re-routed when a recovery
+/// restores connectivity, and arrivals during a partition wait parked
+/// for the network to heal. A timed cable cut is
+/// `FaultPlan::flap(link, t, None)`. With a non-empty schedule the
+/// invariant auditor runs; with an empty one the engine takes the
+/// fault-free code path. A [`NoopSink`] compiles its emission guards
+/// away, so an untraced run pays nothing for tracing.
 pub fn simulate_under_faults_with_provider_traced<P: PathProvider + ?Sized, S: TraceSink>(
     g: &Graph,
     flows: &[FlowSpec],
@@ -454,63 +298,77 @@ pub fn simulate_under_faults_with_provider_traced<P: PathProvider + ?Sized, S: T
     provider: &mut P,
     sink: &mut S,
 ) -> Result<FaultSimOutcome, SimError> {
-    validate_inputs(g, flows, cfg)?;
-    for ev in &schedule.events {
-        if !ev.time.is_finite() {
-            return Err(SimError::NonFiniteFailureTime);
-        }
-        if ev.link.idx() >= g.link_count() {
-            return Err(SimError::UnknownFailedLink {
-                link: ev.link.idx(),
-            });
-        }
-    }
-    let mut audit = AuditReport::default();
-    let result = run_engine(
+    validate_inputs(g, flows, &schedule.events)?;
+    let mut telemetry = AllocTelemetry::default();
+    Ok(run_engine(
         g,
         flows,
         cfg,
         provider,
-        &schedule.events,
-        Some(&mut audit),
-        None,
+        schedule,
         sink,
-    );
-    Ok(FaultSimOutcome { result, audit })
+        &mut telemetry,
+    ))
 }
 
-/// The event loop. `schedule` must be sorted by time; an empty schedule
-/// with no auditor reproduces the pre-fault-plane engine bit for bit.
+/// [`simulate_under_faults_with_provider_traced`] without a sink that
+/// additionally sums the incremental allocator's per-epoch effort
+/// counters into `telemetry`. The counters do not change the
+/// simulation.
+pub fn simulate_with_telemetry<P: PathProvider + ?Sized>(
+    g: &Graph,
+    flows: &[FlowSpec],
+    cfg: &SimConfig,
+    schedule: &FaultSchedule,
+    provider: &mut P,
+    telemetry: &mut AllocTelemetry,
+) -> Result<FaultSimOutcome, SimError> {
+    validate_inputs(g, flows, &schedule.events)?;
+    Ok(run_engine(
+        g,
+        flows,
+        cfg,
+        provider,
+        schedule,
+        &mut NoopSink,
+        telemetry,
+    ))
+}
+
+/// The event loop. `schedule` must be sorted by time; the auditor runs
+/// exactly when it is non-empty. Every epoch's allocator effort
+/// counters are summed into `telemetry`.
 ///
 /// Every `sink` emission site is guarded by
 /// [`TraceSink::enabled`]; with [`NoopSink`] the guards (and event
 /// construction) compile away, so tracing never perturbs the
 /// simulation.
-#[allow(clippy::too_many_arguments)]
 fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
     g: &Graph,
     flows: &[FlowSpec],
     cfg: &SimConfig,
     provider: &mut P,
-    schedule: &[LinkEvent],
-    mut audit: Option<&mut AuditReport>,
-    mut telemetry: Option<&mut AllocTelemetry>,
+    schedule: &FaultSchedule,
     sink: &mut S,
-) -> SimResult {
+    telemetry: &mut AllocTelemetry,
+) -> FaultSimOutcome {
+    let schedule = &schedule.events;
     let mut caps = g.capacities();
     // Pristine capacities, for restoring a link on a recovery event.
     let base_caps = caps.clone();
     // Parked connections: lost every path (or arrived unroutable) while
-    // a fault schedule with possible recoveries is active. Revived on
-    // recovery events; only ever populated when `schedule` is non-empty.
+    // a fault schedule is active. Revived on recovery events; only ever
+    // populated when `schedule` is non-empty, which is also exactly
+    // when the auditor runs.
     let has_faults = !schedule.is_empty();
+    let mut audit = AuditReport::default();
     let mut parked: Vec<Active> = Vec::new();
     let mut next_event = 0usize;
     let mut arena = PathArena::new();
     // Persistent subflow→entity bindings: mirrors `active` inside the
     // incremental allocator so each epoch re-solves only what the event
     // batch dirtied. `needs_resync` is set by fault edges that reshuffle
-    // positions wholesale (park / revive / stall-drop).
+    // positions wholesale (park / revive).
     let mut bind = Bindings::new();
     let mut needs_resync = false;
 
@@ -526,12 +384,9 @@ fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
         .collect();
     let mut order: Vec<usize> = (0..flows.len()).collect();
     order.sort_by(|&a, &b| flows[a].start.total_cmp(&flows[b].start).then(a.cmp(&b)));
-    let mut failures = cfg.link_failures.clone();
-    failures.sort_by(|a, b| a.time.total_cmp(&b.time));
     let mut failed = FailedLinks::new(g.link_count());
 
     let mut next_arrival = 0usize;
-    let mut next_failure = 0usize;
     let mut active: Vec<Active> = Vec::new();
     let mut series = Vec::new();
     let mut t = 0.0f64;
@@ -549,17 +404,15 @@ fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
         // dirtied, so the rates are bit-identical at a fraction of the
         // cost.
         bind.allocate(&caps);
-        if let Some(tel) = telemetry.as_deref_mut() {
-            tel.absorb(bind.stats());
-        }
-        if let Some(rep) = audit.as_deref_mut() {
+        telemetry.absorb(bind.stats());
+        if has_faults {
             // Invariant 1: no subflow carries rate over a down link.
             for (ci, a) in active.iter().enumerate() {
                 let sub = bind.subflow_rates(ci);
                 for (&pid, &r) in a.path_ids.iter().zip(sub) {
-                    rep.checks += 1;
+                    audit.checks += 1;
                     if r > STALL_RATE && !failed.path_alive(arena.links(pid)) {
-                        rep.rate_on_down_link += 1;
+                        audit.rate_on_down_link += 1;
                     }
                 }
             }
@@ -615,7 +468,6 @@ fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
 
         // Next event time.
         let t_arr = (next_arrival < order.len()).then(|| flows[order[next_arrival]].start);
-        let t_fail = (next_failure < failures.len()).then(|| failures[next_failure].time);
         let t_ev = (next_event < schedule.len()).then(|| schedule[next_event].time);
         let t_fin = active
             .iter()
@@ -623,7 +475,7 @@ fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
             .filter(|(_, &r)| r > STALL_RATE)
             .map(|(a, &r)| t + a.remaining / (r * GBPS_TO_BPS))
             .fold(None::<f64>, |acc, x| Some(acc.map_or(x, |a| a.min(x))));
-        let candidates = [t_arr, t_fail, t_fin, t_ev];
+        let candidates = [t_arr, t_fin, t_ev];
         let Some(t_next) = candidates
             .iter()
             .flatten()
@@ -699,9 +551,7 @@ fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
                         path_ids: Vec::new(),
                         subflow_weight: 1.0,
                     });
-                    if let Some(rep) = audit.as_deref_mut() {
-                        rep.parked += 1;
-                    }
+                    audit.parked += 1;
                 }
                 None => {
                     // Unroutable: record stays unfinished.
@@ -711,36 +561,13 @@ fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
                 }
             }
         }
-        // Failures (legacy down-only list).
         let mut failed_now = false;
         let mut recovered_now = false;
-        while next_failure < failures.len() && failures[next_failure].time <= t + 1e-15 {
-            let f = failures[next_failure];
-            next_failure += 1;
-            failed.fail(f.link);
-            caps[f.link.idx()] = 0.0;
-            if sink.enabled() {
-                sink.emit(TraceEvent::LinkDown {
-                    t,
-                    link: f.link.idx(),
-                });
-            }
-            if let Some(rev) = g.link(f.link).reverse {
-                failed.fail(rev);
-                caps[rev.idx()] = 0.0;
-                if sink.enabled() {
-                    sink.emit(TraceEvent::LinkDown { t, link: rev.idx() });
-                }
-            }
-            failed_now = true;
-        }
         // Fault-plan events (down and up, directed-link granularity).
         while next_event < schedule.len() && schedule[next_event].time <= t + 1e-15 {
             let ev = schedule[next_event];
             next_event += 1;
-            if let Some(rep) = audit.as_deref_mut() {
-                rep.events_applied += 1;
-            }
+            audit.events_applied += 1;
             if ev.up {
                 if failed.recover(ev.link) {
                     caps[ev.link.idx()] = base_caps[ev.link.idx()];
@@ -790,9 +617,7 @@ fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
                 if let Some(conn) = provider.route(g, &mut arena, &failed, &spec) {
                     a.path_ids = conn.path_ids;
                     a.subflow_weight = conn.subflow_weight;
-                    if let Some(rep) = audit.as_deref_mut() {
-                        rep.revived += 1;
-                    }
+                    audit.revived += 1;
                     if sink.enabled() {
                         sink.emit(TraceEvent::FlowRevive {
                             t,
@@ -828,9 +653,9 @@ fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
                             .retain(|&pid| failed.path_alive(arena.links(pid)));
                     }
                     if a.path_ids.is_empty() {
-                        // Zero subflows left: unbindable. The park /
-                        // drop pass below removes it, then the bindings
-                        // are rebuilt.
+                        // Zero subflows left: unbindable. The park pass
+                        // below removes it, then the bindings are
+                        // rebuilt.
                         needs_resync = true;
                     } else {
                         bind.replace(&arena, ci, &a.path_ids, a.subflow_weight);
@@ -846,53 +671,39 @@ fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
             }
         }
         if failed_now || recovered_now {
-            if has_faults {
-                // Connections with no path left wait parked for a
-                // recovery event; finish stays None if none comes.
-                let mut i = 0;
-                while i < active.len() {
-                    if active[i].path_ids.is_empty() {
-                        if sink.enabled() {
-                            sink.emit(TraceEvent::FlowPark {
-                                t,
-                                flow: active[i].spec.id,
-                                cause: ParkCause::PathLoss,
-                            });
-                        }
-                        parked.push(active.remove(i));
-                        needs_resync = true;
-                        if let Some(rep) = audit.as_deref_mut() {
-                            rep.parked += 1;
-                        }
-                    } else {
-                        i += 1;
+            // Connections with no path left wait parked for a recovery
+            // event; finish stays None if none comes.
+            let mut i = 0;
+            while i < active.len() {
+                if active[i].path_ids.is_empty() {
+                    if sink.enabled() {
+                        sink.emit(TraceEvent::FlowPark {
+                            t,
+                            flow: active[i].spec.id,
+                            cause: ParkCause::PathLoss,
+                        });
                     }
-                }
-            } else {
-                // Permanently stalled connections drop out; finish stays
-                // None.
-                let before = active.len();
-                active.retain(|a| !a.path_ids.is_empty());
-                if active.len() != before {
+                    parked.push(active.remove(i));
                     needs_resync = true;
+                    audit.parked += 1;
+                } else {
+                    i += 1;
                 }
             }
-            if let Some(rep) = audit.as_deref_mut() {
-                // Invariant 2: every connection kept active after a
-                // fault event has at least one fully-alive path.
-                for a in &active {
-                    if !a
-                        .path_ids
-                        .iter()
-                        .any(|&pid| failed.path_alive(arena.links(pid)))
-                    {
-                        rep.dead_active_conn += 1;
-                    }
+            // Invariant 2: every connection kept active after a fault
+            // event has at least one fully-alive path.
+            for a in &active {
+                if !a
+                    .path_ids
+                    .iter()
+                    .any(|&pid| failed.path_alive(arena.links(pid)))
+                {
+                    audit.dead_active_conn += 1;
                 }
             }
         }
         if needs_resync {
-            // Fault edge reshuffled positions (park / revive / drop):
+            // Fault edge reshuffled positions (park / revive):
             // rebuild the bindings from the active vector. Correct by
             // construction, and rare — it only runs on failure-epoch or
             // recovery boundaries, never on the arrival/completion path.
@@ -915,17 +726,19 @@ fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
         });
     }
 
-    SimResult {
+    let result = SimResult {
         records,
         series,
         end_time: t,
-    }
+    };
+    FaultSimOutcome { result, audit }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netgraph::{Graph, NodeKind};
+    use crate::faults::FaultPlan;
+    use netgraph::{Graph, LinkId, NodeKind};
 
     /// Two racks joined by one 10G core link; 2 servers per rack.
     fn dumbbell() -> (Graph, Vec<NodeId>, LinkId) {
@@ -952,12 +765,56 @@ mod tests {
         }
     }
 
+    fn run(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> SimResult {
+        simulate(g, flows, cfg).expect("valid input")
+    }
+
+    /// Runs under `sched` with the transport's default routing.
+    fn run_faulted<S: TraceSink>(
+        g: &Graph,
+        flows: &[FlowSpec],
+        cfg: &SimConfig,
+        sched: &FaultSchedule,
+        sink: &mut S,
+    ) -> FaultSimOutcome {
+        simulate_under_faults_with_provider_traced(
+            g,
+            flows,
+            cfg,
+            sched,
+            &mut *cfg.transport.provider(),
+            sink,
+        )
+        .expect("valid input")
+    }
+
+    /// A permanent cut of `link`'s cable at `time`.
+    fn cut(g: &Graph, link: LinkId, time: f64) -> FaultSchedule {
+        let mut plan = FaultPlan::new(1);
+        plan.flap(link, time, None);
+        plan.compile(g).expect("valid plan")
+    }
+
+    fn down(time: f64, link: LinkId) -> LinkEvent {
+        LinkEvent {
+            time,
+            link,
+            up: false,
+        }
+    }
+
+    /// `Debug` prints every `f64` in its shortest round-trip form, so
+    /// equal renderings mean bit-identical records, series and end time.
+    fn assert_same_bits(a: &SimResult, b: &SimResult) {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
     #[test]
     fn single_flow_fct_is_exact() {
         let (g, s, _) = dumbbell();
         // 10 Gbps end to end; 1.25 GB takes exactly 1 s.
         let flows = vec![spec(0, s[0], s[2], 1.25e9, 0.0)];
-        let res = simulate(&g, &flows, &SimConfig::default());
+        let res = run(&g, &flows, &SimConfig::default());
         let fct = res.records[0].fct().unwrap();
         assert!((fct - 1.0).abs() < 1e-9, "fct = {fct}");
         assert!((res.records[0].avg_rate_gbps().unwrap() - 10.0).abs() < 1e-9);
@@ -972,7 +829,7 @@ mod tests {
             spec(0, s[0], s[2], 0.625e9, 0.0), // 5 Gb at 5 Gbps -> 1 s
             spec(1, s[1], s[3], 1.25e9, 0.0),
         ];
-        let res = simulate(&g, &flows, &SimConfig::default());
+        let res = run(&g, &flows, &SimConfig::default());
         let f0 = res.records[0].fct().unwrap();
         let f1 = res.records[1].fct().unwrap();
         assert!((f0 - 1.0).abs() < 1e-9, "f0 = {f0}");
@@ -988,7 +845,7 @@ mod tests {
             spec(0, s[0], s[2], 1.25e9, 0.0),
             spec(1, s[1], s[3], 1.25e9, 0.5),
         ];
-        let res = simulate(&g, &flows, &SimConfig::default());
+        let res = run(&g, &flows, &SimConfig::default());
         // Flow 0: 10G for 0.5 s (half done), then 5G until done:
         // remaining 0.625 GB at 5 Gbps = 1 s -> finish 1.5.
         assert!((res.records[0].fct().unwrap() - 1.5).abs() < 1e-9);
@@ -1004,7 +861,7 @@ mod tests {
             spec(0, s[0], s[1], 1.25e9, 0.0), // same rack
             spec(1, s[2], s[3], 1.25e9, 0.0), // same rack
         ];
-        let res = simulate(&g, &flows, &SimConfig::default());
+        let res = run(&g, &flows, &SimConfig::default());
         for r in &res.records {
             assert!((r.fct().unwrap() - 1.0).abs() < 1e-9);
         }
@@ -1014,15 +871,17 @@ mod tests {
     fn link_failure_stalls_when_no_alternative() {
         let (g, s, core) = dumbbell();
         let flows = vec![spec(0, s[0], s[2], 1.25e9, 0.0)];
-        let cfg = SimConfig {
-            link_failures: vec![LinkFailure {
-                time: 0.5,
-                link: core,
-            }],
-            ..SimConfig::default()
-        };
-        let res = simulate(&g, &flows, &cfg);
-        assert_eq!(res.records[0].finish, None, "must stall: only path died");
+        let out = run_faulted(
+            &g,
+            &flows,
+            &SimConfig::default(),
+            &cut(&g, core, 0.5),
+            &mut NoopSink,
+        );
+        assert_eq!(
+            out.result.records[0].finish, None,
+            "must stall: only path died"
+        );
     }
 
     /// Diamond with two disjoint switch paths: failure reroutes.
@@ -1047,16 +906,12 @@ mod tests {
                 k: 2,
                 coupled: true,
             },
-            link_failures: vec![LinkFailure {
-                time: 0.5,
-                link: via_x,
-            }],
             record_series: false,
         };
-        let res = simulate(&g, &flows, &cfg);
+        let out = run_faulted(&g, &flows, &cfg, &cut(&g, via_x, 0.5), &mut NoopSink);
         // NIC-limited to 10G throughout (both paths before, one after);
         // completion at 1 s regardless of the failure.
-        let fct = res.records[0].fct().expect("must finish via y");
+        let fct = out.result.records[0].fct().expect("must finish via y");
         assert!((fct - 1.0).abs() < 1e-6, "fct = {fct}");
     }
 
@@ -1065,7 +920,7 @@ mod tests {
         let (g, s, _) = dumbbell();
         let flows = vec![spec(0, s[0], s[2], 1.25e9, 0.0)];
         for transport in [Transport::TcpEcmp, Transport::mptcp8()] {
-            let res = simulate(
+            let res = run(
                 &g,
                 &flows,
                 &SimConfig {
@@ -1088,7 +943,7 @@ mod tests {
             record_series: true,
             ..SimConfig::default()
         };
-        let res = simulate(&g, &flows, &cfg);
+        let res = run(&g, &flows, &cfg);
         assert!(!res.series.is_empty());
         // The point at t=0 before arrivals carries 0; once both flows are
         // active the total goodput steps to the 10 G core capacity.
@@ -1099,68 +954,90 @@ mod tests {
 
     #[test]
     fn try_simulate_rejects_bad_input() {
-        let (g, s, _) = dumbbell();
-        use crate::error::SimError;
+        let (g, s, core) = dumbbell();
         let bad_start = vec![spec(0, s[0], s[2], 1.0, f64::NAN)];
         assert!(matches!(
-            try_simulate(&g, &bad_start, &SimConfig::default()),
+            simulate(&g, &bad_start, &SimConfig::default()),
             Err(SimError::NonFiniteStart { flow: 0 })
         ));
         let self_flow = vec![spec(1, s[0], s[0], 1.0, 0.0)];
         assert!(matches!(
-            try_simulate(&g, &self_flow, &SimConfig::default()),
+            simulate(&g, &self_flow, &SimConfig::default()),
             Err(SimError::SelfFlow { flow: 1, .. })
         ));
         let empty = vec![spec(2, s[0], s[1], 0.0, 0.0)];
         assert!(matches!(
-            try_simulate(&g, &empty, &SimConfig::default()),
+            simulate(&g, &empty, &SimConfig::default()),
             Err(SimError::InvalidBytes { flow: 2, .. })
         ));
-        let cfg = SimConfig {
-            link_failures: vec![LinkFailure {
-                time: 1.0,
-                link: LinkId(9999),
-            }],
-            ..SimConfig::default()
+        let run_sched = |events: Vec<LinkEvent>| {
+            simulate_under_faults_with_provider_traced(
+                &g,
+                &[spec(3, s[0], s[2], 1.0, 0.0)],
+                &SimConfig::default(),
+                &FaultSchedule { events },
+                &mut EcmpProvider::new(),
+                &mut NoopSink,
+            )
+            .map(|out| out.result)
         };
         assert!(matches!(
-            try_simulate(&g, &[spec(3, s[0], s[2], 1.0, 0.0)], &cfg),
-            Err(SimError::UnknownFailedLink { .. })
+            run_sched(vec![down(1.0, LinkId(9999))]),
+            Err(SimError::UnknownFailedLink { link: 9999 })
+        ));
+        assert!(matches!(
+            run_sched(vec![down(f64::INFINITY, core)]),
+            Err(SimError::NonFiniteFailureTime)
         ));
     }
 
-    /// An empty fault schedule takes exactly the fault-free code path:
-    /// the outcome is bit-identical to `simulate` and the auditor is
-    /// silent.
+    /// A hand-built schedule whose times decrease is rejected at the
+    /// first decrease instead of being applied late.
+    #[test]
+    fn unsorted_schedule_is_rejected() {
+        let (g, s, core) = dumbbell();
+        let events = [0.2, 0.5, 0.5, 0.3].map(|t| down(t, core)).to_vec();
+        let mut telemetry = AllocTelemetry::default();
+        let res = simulate_with_telemetry(
+            &g,
+            &[spec(0, s[0], s[2], 1.25e9, 0.0)],
+            &SimConfig::default(),
+            &FaultSchedule { events },
+            &mut EcmpProvider::new(),
+            &mut telemetry,
+        );
+        assert!(matches!(res, Err(SimError::UnsortedSchedule { index: 3 })));
+        assert_eq!(telemetry, AllocTelemetry::default());
+    }
+
+    /// The telemetry entry point with an empty schedule is the plain
+    /// fault-free run: bit-identical result, a silent auditor, and
+    /// counters that saw every epoch.
     #[test]
     fn empty_schedule_is_bit_identical_to_simulate() {
-        let (g, s, core) = dumbbell();
+        let (g, s, _) = dumbbell();
         let flows = vec![
             spec(0, s[0], s[2], 1.25e9, 0.0),
             spec(1, s[1], s[3], 0.625e9, 0.25),
         ];
         let cfg = SimConfig {
-            link_failures: vec![LinkFailure {
-                time: 0.5,
-                link: core,
-            }],
             record_series: true,
             ..SimConfig::default()
         };
-        let plain = simulate(&g, &flows, &cfg);
-        let faulted =
-            simulate_under_faults(&g, &flows, &cfg, &crate::faults::FaultSchedule::empty())
-                .expect("valid input");
-        assert_eq!(plain.records, faulted.result.records);
-        assert_eq!(plain.series.len(), faulted.result.series.len());
-        for (a, b) in plain.series.iter().zip(&faulted.result.series) {
-            assert_eq!(a.0.to_bits(), b.0.to_bits());
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-        assert_eq!(plain.end_time.to_bits(), faulted.result.end_time.to_bits());
-        assert_eq!(faulted.audit.violations(), 0);
-        assert_eq!(faulted.audit.events_applied, 0);
-        assert_eq!(faulted.audit.parked, 0);
+        let plain = run(&g, &flows, &cfg);
+        let mut telemetry = AllocTelemetry::default();
+        let faulted = simulate_with_telemetry(
+            &g,
+            &flows,
+            &cfg,
+            &FaultSchedule::empty(),
+            &mut *cfg.transport.provider(),
+            &mut telemetry,
+        )
+        .expect("valid input");
+        assert_same_bits(&plain, &faulted.result);
+        assert_eq!(faulted.audit, AuditReport::default());
+        assert_eq!(telemetry.epochs, plain.series.len() as u64);
     }
 
     /// A flap on the only path parks the flow and revives it on
@@ -1169,11 +1046,11 @@ mod tests {
     fn flap_parks_then_revives_the_only_path() {
         let (g, s, core) = dumbbell();
         let flows = vec![spec(0, s[0], s[2], 1.25e9, 0.0)];
-        let mut plan = crate::faults::FaultPlan::new(1);
+        let mut plan = FaultPlan::new(1);
         plan.flap(core, 0.5, Some(2.0));
         let sched = plan.compile(&g).expect("valid plan");
         let cfg = SimConfig::default();
-        let out = simulate_under_faults(&g, &flows, &cfg, &sched).expect("valid input");
+        let out = run_faulted(&g, &flows, &cfg, &sched, &mut NoopSink);
         // 0.625 GB done by t=0.5; parked for 1.5 s; remaining 0.625 GB
         // at 10 Gbps takes 0.5 s -> finish at 2.5 s.
         let fct = out.result.records[0].fct().expect("revived after flap");
@@ -1190,11 +1067,10 @@ mod tests {
     fn arrival_during_partition_waits_for_recovery() {
         let (g, s, core) = dumbbell();
         let flows = vec![spec(0, s[0], s[2], 1.25e9, 0.5)];
-        let mut plan = crate::faults::FaultPlan::new(1);
+        let mut plan = FaultPlan::new(1);
         plan.flap(core, 0.25, Some(1.0));
         let sched = plan.compile(&g).expect("valid plan");
-        let out =
-            simulate_under_faults(&g, &flows, &SimConfig::default(), &sched).expect("valid input");
+        let out = run_faulted(&g, &flows, &SimConfig::default(), &sched, &mut NoopSink);
         // Arrives at 0.5 into a dead core, parked; core heals at 1.0;
         // 1 s of transfer -> finish 2.0, fct 1.5.
         let fct = out.result.records[0].fct().expect("must finish after heal");
@@ -1204,17 +1080,15 @@ mod tests {
         assert_eq!(out.audit.violations(), 0);
     }
 
-    /// A permanent (never-recovering) fault leaves the flow unfinished,
-    /// matching the legacy failure semantics.
+    /// A permanent (never-recovering) fault leaves the flow unfinished.
     #[test]
     fn permanent_fault_still_stalls_forever() {
         let (g, s, core) = dumbbell();
         let flows = vec![spec(0, s[0], s[2], 1.25e9, 0.0)];
-        let mut plan = crate::faults::FaultPlan::new(1);
+        let mut plan = FaultPlan::new(1);
         plan.flap(core, 0.5, None);
         let sched = plan.compile(&g).expect("valid plan");
-        let out =
-            simulate_under_faults(&g, &flows, &SimConfig::default(), &sched).expect("valid input");
+        let out = run_faulted(&g, &flows, &SimConfig::default(), &sched, &mut NoopSink);
         assert_eq!(out.result.records[0].finish, None);
         assert_eq!(out.audit.parked, 1);
         assert_eq!(out.audit.revived, 0);
@@ -1240,7 +1114,7 @@ mod tests {
         g.add_duplex_link(s0, e0, 10.0);
         g.add_duplex_link(s1, e1, 10.0);
         let flows = vec![spec(0, s0, s1, 1.25e9, 0.0)];
-        let mut plan = crate::faults::FaultPlan::new(1);
+        let mut plan = FaultPlan::new(1);
         plan.switch_fault(x, 0.3, Some(0.7));
         let sched = plan.compile(&g).expect("valid plan");
         let cfg = SimConfig {
@@ -1250,7 +1124,7 @@ mod tests {
             },
             ..SimConfig::default()
         };
-        let out = simulate_under_faults(&g, &flows, &cfg, &sched).expect("valid input");
+        let out = run_faulted(&g, &flows, &cfg, &sched, &mut NoopSink);
         // NIC-limited to 10G throughout (y survives): finish at 1 s.
         let fct = out.result.records[0].fct().expect("survives via y");
         assert!((fct - 1.0).abs() < 1e-6, "fct = {fct}");
@@ -1310,11 +1184,10 @@ mod tests {
             spec(0, s[0], s[2], 1.25e9, 0.0), // crosses core: parked forever
             spec(1, s[2], s[3], 1.25e9, 0.0), // intra-rack: completes at 1 s
         ];
-        let mut plan = crate::faults::FaultPlan::new(1);
+        let mut plan = FaultPlan::new(1);
         plan.flap(core, 0.5, None); // permanent fault
         let sched = plan.compile(&g).expect("valid plan");
-        let out =
-            simulate_under_faults(&g, &flows, &SimConfig::default(), &sched).expect("valid input");
+        let out = run_faulted(&g, &flows, &SimConfig::default(), &sched, &mut NoopSink);
         let res = &out.result;
         assert_eq!(out.audit.parked, 1);
         assert_eq!(out.audit.revived, 0);
@@ -1331,8 +1204,8 @@ mod tests {
         assert!((res.workload_mean_rate_gbps() - 5.0).abs() < 1e-9);
     }
 
-    /// The traced entry point with a `NoopSink` is the plain entry
-    /// point: bit-identical records, series, and end time.
+    /// A traced run under a cable cut is the untraced run: bit-identical
+    /// records, series, and end time.
     #[test]
     fn noop_traced_is_bit_identical() {
         let (g, s, core) = dumbbell();
@@ -1341,22 +1214,16 @@ mod tests {
             spec(1, s[1], s[3], 0.625e9, 0.25),
         ];
         let cfg = SimConfig {
-            link_failures: vec![LinkFailure {
-                time: 0.5,
-                link: core,
-            }],
             record_series: true,
             ..SimConfig::default()
         };
-        let plain = simulate(&g, &flows, &cfg);
-        let traced = try_simulate_traced(&g, &flows, &cfg, &mut NoopSink).expect("valid input");
-        assert_eq!(plain.records, traced.records);
-        assert_eq!(plain.series.len(), traced.series.len());
-        for (a, b) in plain.series.iter().zip(&traced.series) {
-            assert_eq!(a.0.to_bits(), b.0.to_bits());
-            assert_eq!(a.1.to_bits(), b.1.to_bits());
-        }
-        assert_eq!(plain.end_time.to_bits(), traced.end_time.to_bits());
+        let sched = cut(&g, core, 0.5);
+        let plain = run_faulted(&g, &flows, &cfg, &sched, &mut NoopSink);
+        let mut ring = obs::RingSink::unbounded();
+        let traced = run_faulted(&g, &flows, &cfg, &sched, &mut ring);
+        assert_same_bits(&plain.result, &traced.result);
+        assert_eq!(plain.audit, traced.audit);
+        assert!(!ring.into_events().is_empty());
     }
 
     /// The traced run must not perturb the simulation: same records as
@@ -1370,14 +1237,13 @@ mod tests {
             spec(0, s[0], s[2], 1.25e9, 0.0),
             spec(1, s[0], s[1], 1.25e9, 0.0),
         ];
-        let mut plan = crate::faults::FaultPlan::new(1);
+        let mut plan = FaultPlan::new(1);
         plan.flap(core, 0.5, Some(2.0));
         let sched = plan.compile(&g).expect("valid plan");
         let cfg = SimConfig::default();
-        let plain = simulate_under_faults(&g, &flows, &cfg, &sched).expect("valid input");
+        let plain = run_faulted(&g, &flows, &cfg, &sched, &mut NoopSink);
         let mut ring = obs::RingSink::unbounded();
-        let traced =
-            simulate_under_faults_traced(&g, &flows, &cfg, &sched, &mut ring).expect("valid input");
+        let traced = run_faulted(&g, &flows, &cfg, &sched, &mut ring);
         assert_eq!(plain.result.records, traced.result.records);
         let events = ring.into_events();
         let count = |name: &str| events.iter().filter(|e| e.name() == name).count();
@@ -1441,27 +1307,14 @@ mod tests {
                 coupled: false,
             },
         ] {
-            for failures in [
-                vec![],
-                vec![LinkFailure {
-                    time: 0.5,
-                    link: core,
-                }],
-            ] {
+            for sched in [FaultSchedule::empty(), cut(&g, core, 0.5)] {
                 let cfg = SimConfig {
                     transport,
-                    link_failures: failures,
                     record_series: true,
                 };
-                let new = simulate(&g, &flows, &cfg);
-                let old = crate::reference::simulate_reference(&g, &flows, &cfg);
-                assert_eq!(new.records, old.records, "{transport:?}");
-                assert_eq!(new.series.len(), old.series.len());
-                for (a, b) in new.series.iter().zip(&old.series) {
-                    assert_eq!(a.0.to_bits(), b.0.to_bits(), "{transport:?}");
-                    assert_eq!(a.1.to_bits(), b.1.to_bits(), "{transport:?}");
-                }
-                assert_eq!(new.end_time.to_bits(), old.end_time.to_bits());
+                let new = run_faulted(&g, &flows, &cfg, &sched, &mut NoopSink).result;
+                let old = crate::reference::simulate_reference(&g, &flows, &cfg, &sched);
+                assert_same_bits(&new, &old);
             }
         }
     }

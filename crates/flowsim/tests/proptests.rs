@@ -1,6 +1,9 @@
 //! Property tests for the fluid simulator.
 
-use flowsim::{simulate, FailedLinks, FaultPlan, FlowSpec, SimConfig, Transport};
+use flowsim::{
+    simulate_under_faults_with_provider_traced, FailedLinks, FaultPlan, FaultSchedule,
+    FaultSimOutcome, FlowSpec, NoopSink, SimConfig, SimResult, Transport,
+};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -8,6 +11,28 @@ use topology::ClosParams;
 
 fn mini_net() -> topology::DcNetwork {
     ClosParams::mini().build().net
+}
+
+fn simulate(g: &netgraph::Graph, flows: &[FlowSpec], cfg: &SimConfig) -> SimResult {
+    flowsim::simulate(g, flows, cfg).expect("valid workload")
+}
+
+/// Runs under `sched` with the transport's default routing.
+fn simulate_under(
+    g: &netgraph::Graph,
+    flows: &[FlowSpec],
+    cfg: &SimConfig,
+    sched: &FaultSchedule,
+) -> FaultSimOutcome {
+    simulate_under_faults_with_provider_traced(
+        g,
+        flows,
+        cfg,
+        sched,
+        &mut *cfg.transport.provider(),
+        &mut NoopSink,
+    )
+    .expect("valid workload")
 }
 
 fn random_flows(n_servers: usize, n_flows: usize, seed: u64) -> Vec<(usize, usize, f64, f64)> {
@@ -184,15 +209,13 @@ proptest! {
         let mut plan = FaultPlan::new(seed);
         plan.random_link_flaps(&cables, fraction, 0.3, (0.0, 1.0));
         let sched = plan.compile(&net.graph).unwrap();
-        let out = flowsim::simulate_under_faults(&net.graph, &flows, &SimConfig::default(), &sched)
-            .expect("valid workload");
+        let out = simulate_under(&net.graph, &flows, &SimConfig::default(), &sched);
         prop_assert_eq!(out.audit.violations(), 0, "auditor flagged: {:?}", out.audit);
         for r in &out.result.records {
             prop_assert!(r.finish.is_some(), "flow {} never finished: {:?}", r.id, out.audit);
         }
         // Determinism of the faulted path.
-        let again = flowsim::simulate_under_faults(&net.graph, &flows, &SimConfig::default(), &sched)
-            .expect("valid workload");
+        let again = simulate_under(&net.graph, &flows, &SimConfig::default(), &sched);
         prop_assert_eq!(out.result.records, again.result.records);
         prop_assert_eq!(out.audit, again.audit);
     }
@@ -206,7 +229,6 @@ proptest! {
 /// anywhere shows up as a bit flip here.
 mod incremental_engine {
     use super::*;
-    use flowsim::sim::LinkFailure;
     use flowsim::{reference::simulate_reference, TraceEvent, TraceSink};
 
     proptest! {
@@ -240,23 +262,23 @@ mod incremental_engine {
                 })
                 .collect();
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0x9e3779b9);
-            let link_failures: Vec<LinkFailure> = (0..n_fails)
-                .map(|_| LinkFailure {
-                    time: rng.gen_range(0.0..0.8),
-                    link: cables[rng.gen_range(0..cables.len())],
-                })
-                .collect();
+            // Permanent cable cuts, possibly repeated or simultaneous.
+            let mut plan = FaultPlan::new(seed);
+            for _ in 0..n_fails {
+                let time = rng.gen_range(0.0..0.8);
+                plan.flap(cables[rng.gen_range(0..cables.len())], time, None);
+            }
+            let sched = plan.compile(&net.graph).expect("valid plan");
             let cfg = SimConfig {
                 transport: if mptcp {
                     Transport::mptcp8()
                 } else {
                     Transport::TcpEcmp
                 },
-                link_failures,
                 record_series: true,
             };
-            let new = simulate(&net.graph, &flows, &cfg);
-            let old = simulate_reference(&net.graph, &flows, &cfg);
+            let new = simulate_under(&net.graph, &flows, &cfg, &sched).result;
+            let old = simulate_reference(&net.graph, &flows, &cfg, &sched);
             prop_assert_eq!(&new.records, &old.records);
             prop_assert_eq!(new.series.len(), old.series.len());
             for (a, b) in new.series.iter().zip(&old.series) {
@@ -309,8 +331,16 @@ mod incremental_engine {
         // a single staggered arrival count, not scale with the batch.
         let batched = mk(&[0.1; 8]);
         let mut sink = AllocCounter { epochs: 0 };
-        let res = flowsim::try_simulate_traced(&net.graph, &batched, &cfg, &mut sink)
-            .expect("valid workload");
+        let res = simulate_under_faults_with_provider_traced(
+            &net.graph,
+            &batched,
+            &cfg,
+            &FaultSchedule::empty(),
+            &mut *cfg.transport.provider(),
+            &mut sink,
+        )
+        .expect("valid workload")
+        .result;
         // Epochs: t=0 bootstrap, the t=0.1 batch, then one per
         // distinct completion instant — never one per arrival.
         let distinct_finishes = {
@@ -330,7 +360,7 @@ mod incremental_engine {
         );
         // And the batch is semantically identical to listing the same
         // instant eight times in any order — reference agrees.
-        let old = simulate_reference(&net.graph, &batched, &cfg);
+        let old = simulate_reference(&net.graph, &batched, &cfg, &FaultSchedule::empty());
         assert_eq!(res.records, old.records);
     }
 }

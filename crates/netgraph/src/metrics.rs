@@ -119,26 +119,6 @@ fn leaf_collapsed_apl(g: &Graph, sources: &[NodeId], servers: &[NodeId]) -> Opti
     (pairs > 0).then(|| total as f64 / pairs as f64)
 }
 
-/// Average hop distance over all ordered switch pairs.
-pub fn avg_switch_path_length(g: &Graph) -> Option<f64> {
-    let sw = g.switches();
-    if sw.len() < 2 {
-        return None;
-    }
-    let mut total = 0usize;
-    let mut pairs = 0usize;
-    for &s in &sw {
-        let d = hop_distances(g, s);
-        for &t in &sw {
-            if t != s && d[t.idx()] != usize::MAX {
-                total += d[t.idx()];
-                pairs += 1;
-            }
-        }
-    }
-    (pairs > 0).then(|| total as f64 / pairs as f64)
-}
-
 /// Longest shortest path between any two switches (hop count), ignoring
 /// unreachable pairs. `None` when there are fewer than two switches.
 pub fn switch_diameter(g: &Graph) -> Option<usize> {

@@ -16,10 +16,6 @@
 //!   the hop-by-hop output-port list packed into the 48-bit source MAC,
 //!   with the TTL acting as the location pointer and per-TTL bit masks at
 //!   transit switches.
-//! * [`two_level`] — the classic fat-tree two-level (prefix/suffix)
-//!   routing for Clos mode, the §4 baseline that needs no SDN machinery.
-//! * [`segment`] — §4.2.2's first option: segment routing with a Path
-//!   Computation Element pushing MPLS label stacks at ingress.
 //! * [`rules`] — OpenFlow rule synthesis and counting for both schemes,
 //!   plus the network-state analysis of §4.2 (`n²kL/N` → `S²kL/N` →
 //!   `S·k`). The rule *diffs* between modes drive the Table 3 conversion
@@ -29,13 +25,9 @@ pub mod addressing;
 pub mod ksp;
 pub mod plane;
 pub mod rules;
-pub mod segment;
 pub mod source_routing;
-pub mod two_level;
 
 pub use addressing::{AddressPlan, FlatTreeAddress, TopologyModeId};
 pub use ksp::RouteTable;
 pub use plane::{RouteOverlay, SharedRouteTable};
 pub use rules::{Rule, RuleMatch, RuleSet, StateAnalysis};
-pub use segment::{LabelStack, Pce};
-pub use two_level::TwoLevelRouting;

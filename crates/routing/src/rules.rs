@@ -80,11 +80,6 @@ impl RuleSet {
         self.per_switch.values().map(|s| s.len()).max().unwrap_or(0)
     }
 
-    /// Rules at one switch.
-    pub fn count_at(&self, sw: NodeId) -> usize {
-        self.per_switch.get(&sw).map_or(0, |s| s.len())
-    }
-
     /// `(deletions, additions)` needed to convert `self` into `to`.
     pub fn diff(&self, to: &RuleSet) -> RuleDiff {
         let mut deletes = 0;

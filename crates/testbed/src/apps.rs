@@ -90,7 +90,7 @@ pub fn spark_broadcast(rig: &TestbedRig, mode: PodMode, params: &AppParams) -> A
                 start: 0.0,
             })
             .collect();
-        let res = simulate(&inst.net.graph, &flows, &cfg);
+        let res = simulate(&inst.net.graph, &flows, &cfg).expect("testbed workload is valid");
         let round_time = res
             .records
             .iter()
@@ -137,7 +137,7 @@ pub fn hadoop_shuffle(rig: &TestbedRig, mode: PodMode, params: &AppParams) -> Ap
         transport: transport(rig),
         ..SimConfig::default()
     };
-    let res = simulate(&inst.net.graph, &flows, &cfg);
+    let res = simulate(&inst.net.graph, &flows, &cfg).expect("testbed workload is valid");
     let fcts: Vec<f64> = res
         .records
         .iter()

@@ -40,24 +40,6 @@ impl DcNetwork {
         self.pod_servers.len()
     }
 
-    /// Pod index of a server (by node id), if the network has pods.
-    pub fn pod_of_server(&self, server: NodeId) -> Option<usize> {
-        self.pod_servers.iter().position(|p| p.contains(&server))
-    }
-
-    /// The rack (ingress switch) of a server.
-    pub fn rack_of_server(&self, server: NodeId) -> Option<NodeId> {
-        self.graph.server_uplink_switch(server)
-    }
-
-    /// Index of `server` within the canonical order, panicking if foreign.
-    pub fn server_index(&self, server: NodeId) -> usize {
-        self.servers
-            .iter()
-            .position(|&s| s == server)
-            .expect("server not part of this network")
-    }
-
     /// Sanity checks shared by all builders; used by tests.
     pub fn validate(&self) -> Result<(), String> {
         if self.servers.is_empty() {

@@ -57,7 +57,8 @@ fn main() {
                 transport: Transport::mptcp8(),
                 ..SimConfig::default()
             },
-        );
+        )
+        .expect("valid workload");
         let fcts = res.sorted_fcts();
         println!(
             "{:>6} mode: mean FCT {:.2} ms, median {:.2} ms, p99 {:.2} ms",

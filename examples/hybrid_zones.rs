@@ -59,7 +59,8 @@ fn mean_fct(inst: &flat_tree::FlatTreeInstance, flows: &[FlowSpec]) -> f64 {
             },
             ..SimConfig::default()
         },
-    );
+    )
+    .expect("valid workload");
     res.mean_fct().expect("flows complete")
 }
 

@@ -66,7 +66,8 @@ fn main() {
             transport: Transport::mptcp8(),
             ..SimConfig::default()
         },
-    );
+    )
+    .expect("valid workload");
     println!(
         "1 GB transfer: {:.3} s at {:.2} Gbps average",
         res.records[0].fct().unwrap(),

@@ -45,7 +45,8 @@ fn build_route_simulate_mini_topo1() {
                 transport: Transport::mptcp8(),
                 ..SimConfig::default()
             },
-        );
+        )
+        .expect("valid workload");
         assert!(
             res.records.iter().all(|r| r.finish.is_some()),
             "{mode:?}: all flows must complete on a healthy network"
