@@ -3,6 +3,10 @@
 //!
 //! All routines refuse to expand *through* non-transit nodes (servers):
 //! a server may start or terminate a path but never forward.
+//!
+//! Every Dijkstra run goes through one search state that Yen's algorithm
+//! reuses across its spur searches, blocking root nodes and removed links
+//! with boolean masks instead of per-search sets.
 
 use crate::graph::{Graph, LinkId, NodeId};
 use crate::path::Path;
@@ -68,8 +72,9 @@ impl PartialOrd for HeapEntry {
 }
 
 /// Dijkstra with a custom non-negative link length. Links with
-/// non-finite length are treated as removed — this is how Yen's algorithm
-/// and the MCF solver mask links. Returns `(total length, path)`.
+/// non-finite length are treated as removed — this is how callers such as
+/// the MCF solver and the failure-epoch providers mask links. Returns
+/// `(total length, path)`.
 ///
 /// Tie-breaking: among equal-length relaxations the predecessor with the
 /// smaller node id wins, so results are deterministic.
@@ -77,81 +82,162 @@ pub fn shortest_path_by<F>(g: &Graph, src: NodeId, dst: NodeId, length: F) -> Op
 where
     F: Fn(LinkId) -> f64,
 {
-    shortest_path_masked(g, src, dst, length, |_| true)
+    Search::new(g).shortest_path(g, src, dst, length)
 }
 
-/// Like [`shortest_path_by`] but additionally masking nodes: `node_ok(n)`
-/// must return `true` for a node to be *entered* (src is always allowed).
-pub fn shortest_path_masked<F, M>(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    length: F,
-    node_ok: M,
-) -> Option<(f64, Path)>
-where
-    F: Fn(LinkId) -> f64,
-    M: Fn(NodeId) -> bool,
-{
-    let n = g.node_count();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
-    let mut done = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.idx()] = 0.0;
-    heap.push(HeapEntry {
-        cost: 0.0,
-        node: src,
-    });
-    while let Some(HeapEntry { cost, node: u }) = heap.pop() {
-        if done[u.idx()] {
-            continue;
+/// Reusable Dijkstra state for many searches on one graph, with node and
+/// link block masks (Yen's spur searches).
+///
+/// Each search resets only the nodes the previous one touched, so after
+/// construction a search costs time in the part of the graph it explores,
+/// not in `node_count`, and allocates nothing but the returned path.
+///
+/// Servers are never relaxed unless they are the destination. Relaxing
+/// one would only push it for a pop that cannot expand it, so it could
+/// never become a predecessor: skipping it leaves `dist` and `prev` of
+/// every node a path can cross, the `(cost, node id)` pop order of the
+/// other heap entries, and hence every returned path, unchanged.
+pub(crate) struct Search {
+    dist: Vec<f64>,
+    prev: Vec<Option<(NodeId, LinkId)>>,
+    done: Vec<bool>,
+    /// Nodes whose `dist`/`prev`/`done` the last search set.
+    touched: Vec<NodeId>,
+    heap: BinaryHeap<HeapEntry>,
+    /// `forwards[n]`: `n` is a transit node (a switch).
+    forwards: Vec<bool>,
+    node_blocked: Vec<bool>,
+    link_blocked: Vec<bool>,
+    blocked_nodes: Vec<NodeId>,
+    blocked_links: Vec<LinkId>,
+}
+
+impl Search {
+    pub(crate) fn new(g: &Graph) -> Self {
+        let n = g.node_count();
+        Search {
+            dist: vec![f64::INFINITY; n],
+            prev: vec![None; n],
+            done: vec![false; n],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+            forwards: g.node_ids().map(|v| g.node(v).kind.is_transit()).collect(),
+            node_blocked: vec![false; n],
+            link_blocked: vec![false; g.link_count()],
+            blocked_nodes: Vec::new(),
+            blocked_links: Vec::new(),
         }
-        done[u.idx()] = true;
-        if u == dst {
-            break;
+    }
+
+    /// Forbids entering `n`, except as the destination, until
+    /// [`Search::unblock_all`].
+    pub(crate) fn block_node(&mut self, n: NodeId) {
+        if !std::mem::replace(&mut self.node_blocked[n.idx()], true) {
+            self.blocked_nodes.push(n);
         }
-        if u != src && !g.node(u).kind.is_transit() {
-            continue; // never forward through a server
+    }
+
+    /// Treats `l` as removed until [`Search::unblock_all`].
+    pub(crate) fn block_link(&mut self, l: LinkId) {
+        if !std::mem::replace(&mut self.link_blocked[l.idx()], true) {
+            self.blocked_links.push(l);
         }
-        for &(v, l) in g.neighbors(u) {
-            if !node_ok(v) && v != dst {
+    }
+
+    /// Clears every node and link block.
+    pub(crate) fn unblock_all(&mut self) {
+        for n in self.blocked_nodes.drain(..) {
+            self.node_blocked[n.idx()] = false;
+        }
+        for l in self.blocked_links.drain(..) {
+            self.link_blocked[l.idx()] = false;
+        }
+    }
+
+    /// [`shortest_path_by`] under the current blocks; `src` is always
+    /// allowed. `g` must be the graph the state was built for.
+    pub(crate) fn shortest_path<F>(
+        &mut self,
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        length: F,
+    ) -> Option<(f64, Path)>
+    where
+        F: Fn(LinkId) -> f64,
+    {
+        debug_assert!(
+            self.dist.len() == g.node_count() && self.link_blocked.len() == g.link_count(),
+            "search state built for another graph"
+        );
+        for n in self.touched.drain(..) {
+            self.dist[n.idx()] = f64::INFINITY;
+            self.prev[n.idx()] = None;
+            self.done[n.idx()] = false;
+        }
+        self.heap.clear();
+        self.dist[src.idx()] = 0.0;
+        self.touched.push(src);
+        self.heap.push(HeapEntry {
+            cost: 0.0,
+            node: src,
+        });
+        while let Some(HeapEntry { cost, node: u }) = self.heap.pop() {
+            if self.done[u.idx()] {
                 continue;
             }
-            let w = length(l);
-            if !w.is_finite() {
-                continue;
+            self.done[u.idx()] = true;
+            if u == dst {
+                break;
             }
-            debug_assert!(w >= 0.0, "negative link length");
-            let cand = cost + w;
-            let better = cand < dist[v.idx()]
-                || (cand == dist[v.idx()] && prev[v.idx()].is_some_and(|(p, _)| u < p));
-            if better && !done[v.idx()] {
-                dist[v.idx()] = cand;
-                prev[v.idx()] = Some((u, l));
-                heap.push(HeapEntry {
-                    cost: cand,
-                    node: v,
-                });
+            // Only `src`, `dst` and forwarding nodes are ever pushed, so
+            // `u` may be expanded.
+            for &(v, l) in g.neighbors(u) {
+                let vi = v.idx();
+                if v != dst && (!self.forwards[vi] || self.node_blocked[vi]) {
+                    continue;
+                }
+                if self.link_blocked[l.idx()] {
+                    continue;
+                }
+                let w = length(l);
+                if !w.is_finite() {
+                    continue;
+                }
+                debug_assert!(w >= 0.0, "negative link length");
+                let cand = cost + w;
+                let better = cand < self.dist[vi]
+                    || (cand == self.dist[vi] && self.prev[vi].is_some_and(|(p, _)| u < p));
+                if better && !self.done[vi] {
+                    if self.dist[vi] == f64::INFINITY {
+                        self.touched.push(v);
+                    }
+                    self.dist[vi] = cand;
+                    self.prev[vi] = Some((u, l));
+                    self.heap.push(HeapEntry {
+                        cost: cand,
+                        node: v,
+                    });
+                }
             }
         }
+        if !self.dist[dst.idx()].is_finite() {
+            return None;
+        }
+        // Reconstruct.
+        let mut nodes = vec![dst];
+        let mut links = Vec::new();
+        let mut cur = dst;
+        while cur != src {
+            let (p, l) = self.prev[cur.idx()]?;
+            nodes.push(p);
+            links.push(l);
+            cur = p;
+        }
+        nodes.reverse();
+        links.reverse();
+        Some((self.dist[dst.idx()], Path { nodes, links }))
     }
-    if !dist[dst.idx()].is_finite() {
-        return None;
-    }
-    // Reconstruct.
-    let mut nodes = vec![dst];
-    let mut links = Vec::new();
-    let mut cur = dst;
-    while cur != src {
-        let (p, l) = prev[cur.idx()]?;
-        nodes.push(p);
-        links.push(l);
-        cur = p;
-    }
-    nodes.reverse();
-    links.reverse();
-    Some((dist[dst.idx()], Path { nodes, links }))
 }
 
 #[cfg(test)]
@@ -221,8 +307,46 @@ mod tests {
     #[test]
     fn masked_nodes_are_removed() {
         let (g, [s, a, b, c, t]) = diamond();
-        let (_, p) = shortest_path_masked(&g, s, t, |_| 1.0, |n| n != a).unwrap();
+        let mut search = Search::new(&g);
+        search.block_node(a);
+        let (_, p) = search.shortest_path(&g, s, t, |_| 1.0).unwrap();
         assert_eq!(p.nodes, vec![s, b, c, t]);
+        // Blocks persist until cleared, and clearing restores the route.
+        search.block_link(g.find_link(b, c).unwrap());
+        assert!(search.shortest_path(&g, s, t, |_| 1.0).is_none());
+        search.unblock_all();
+        let (_, p) = search.shortest_path(&g, s, t, |_| 1.0).unwrap();
+        assert_eq!(p.nodes, vec![s, a, t]);
+    }
+
+    #[test]
+    fn reused_search_reaches_server_behind_switch() {
+        // Servers hang off every switch of the diamond; the search must
+        // reach a server destination and never cross another server.
+        let (mut g, [s, a, b, c, t]) = diamond();
+        let mut hosts = Vec::new();
+        for sw in [s, a, b, c, t] {
+            for i in 0..2 {
+                let h = g.add_node(NodeKind::Server, format!("h{}-{i}", sw.0));
+                g.add_duplex_link(h, sw, 10.0);
+                hosts.push(h);
+            }
+        }
+        let (src, dst) = (hosts[0], hosts[9]);
+        let mut search = Search::new(&g);
+        let (cost, p) = search.shortest_path(&g, src, dst, |_| 1.0).unwrap();
+        assert_eq!(cost, 4.0);
+        assert_eq!(p.nodes, vec![src, s, a, t, dst]);
+        p.validate(&g).unwrap();
+        // Blocking the switch the server hangs off cuts it off, while a
+        // blocked destination is still entered.
+        search.block_node(t);
+        assert!(search.shortest_path(&g, src, dst, |_| 1.0).is_none());
+        let (_, p) = search.shortest_path(&g, src, t, |_| 1.0).unwrap();
+        assert_eq!(p.nodes, vec![src, s, a, t]);
+        search.unblock_all();
+        let (_, p) = search.shortest_path(&g, src, dst, |_| 1.0).unwrap();
+        assert_eq!(p, shortest_path_by(&g, src, dst, |_| 1.0).unwrap().1);
     }
 
     #[test]

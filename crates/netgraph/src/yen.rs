@@ -6,7 +6,7 @@
 //! length and then lexicographically by node sequence, so the output is
 //! fully deterministic.
 
-use crate::dijkstra::shortest_path_masked;
+use crate::dijkstra::Search;
 use crate::graph::{Graph, LinkId, NodeId};
 use crate::path::Path;
 use std::collections::HashSet;
@@ -67,8 +67,9 @@ where
     if k == 0 || src == dst {
         return Vec::new();
     }
+    let mut search = Search::new(g);
     let mut selected: Vec<(f64, Path)> = Vec::new();
-    let Some(first) = shortest_path_masked(g, src, dst, &length, |_| true) else {
+    let Some(first) = search.shortest_path(g, src, dst, &length) else {
         return Vec::new();
     };
     if let Some(fp) = footprint.as_deref_mut() {
@@ -93,27 +94,16 @@ where
             // root (candidates stay routable — masking them too would
             // wrongly suppress paths that are never selected), plus all
             // root nodes except the spur node.
-            let mut removed_links: HashSet<LinkId> = HashSet::new();
             for (_, p) in &selected {
                 if p.nodes.len() > i && p.nodes[..=i] == *root_nodes {
-                    removed_links.insert(p.links[i]);
+                    search.block_link(p.links[i]);
                 }
             }
-            let removed_nodes: HashSet<NodeId> = root_nodes[..i].iter().copied().collect();
-
-            let spur_path = shortest_path_masked(
-                g,
-                spur,
-                dst,
-                |l| {
-                    if removed_links.contains(&l) {
-                        f64::INFINITY
-                    } else {
-                        length(l)
-                    }
-                },
-                |n| !removed_nodes.contains(&n),
-            );
+            for &n in &root_nodes[..i] {
+                search.block_node(n);
+            }
+            let spur_path = search.shortest_path(g, spur, dst, &length);
+            search.unblock_all();
             let Some((spur_cost, spur_path)) = spur_path else {
                 continue;
             };
