@@ -3,8 +3,8 @@
 //! engine (`flowsim::reference::simulate_reference`) on the same
 //! mini-topo-1 permutation workload, with and without a mid-run cable
 //! failure. The two produce bit-identical results (pinned by
-//! `golden_simresult`); this measures the speedup of path interning, the
-//! reusable allocation workspace, and the failure-epoch route cache.
+//! `golden_simresult`); this measures the speedup of path interning,
+//! incremental allocation, and the failure-epoch route cache.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flat_tree::PodMode;
@@ -14,7 +14,7 @@ use flowsim::{
     SimConfig, Transport,
 };
 use ft_bench::experiments::common;
-use mcf::{AllocWorkspace, IncrementalAllocator};
+use mcf::IncrementalAllocator;
 use netgraph::{Graph, LinkId};
 use topology::DcNetwork;
 
@@ -72,12 +72,9 @@ fn churn_groups(n_links: usize, n_groups: usize) -> Vec<Vec<Vec<usize>>> {
         .collect()
 }
 
-/// Allocator-level comparison on an arrival/departure churn: the
-/// incremental allocator applies each edit and re-allocates, while the
-/// from-scratch variant rebuilds an [`AllocWorkspace`] per event — the
-/// exact work `connection_rates` used to do inside the engine. Both
-/// produce bit-identical rates (pinned by the mcf proptests); this
-/// measures the per-event cost gap.
+/// Allocator-level arrival/departure churn: the incremental allocator
+/// applies each edit and re-allocates, the per-event work the engine's
+/// bindings do.
 fn bench_alloc_churn(c: &mut Criterion) {
     const LINKS: usize = 768;
     const RESIDENT: usize = 64;
@@ -97,26 +94,6 @@ fn bench_alloc_churn(c: &mut Criterion) {
                 a.push_group(1.0, g.iter().map(|p| p.iter().copied()));
                 a.allocate(&caps);
                 acc += a.group_rate_sum(a.group_at(0));
-            }
-            acc
-        });
-    });
-    c.bench_function("simcore/alloc_workspace_churn", |b| {
-        b.iter(|| {
-            let mut resident: Vec<&Vec<Vec<usize>>> = groups[..RESIDENT].iter().collect();
-            let mut ws = AllocWorkspace::new();
-            let mut acc = 0.0f64;
-            for (step, g) in groups[RESIDENT..].iter().enumerate() {
-                resident.swap_remove(step % RESIDENT);
-                resident.push(g);
-                for grp in &resident {
-                    for path in *grp {
-                        ws.push_entity(1.0, path.iter().copied());
-                    }
-                }
-                let rates = ws.allocate(&caps);
-                acc += rates[0];
-                ws.clear();
             }
             acc
         });

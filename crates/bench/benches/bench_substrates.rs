@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
-use mcf::maxmin::{weighted_max_min, Entity};
+use mcf::IncrementalAllocator;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use topology::ClosParams;
@@ -20,24 +20,29 @@ fn bench(c: &mut Criterion) {
         b.iter(|| netgraph::yen::k_shortest_paths(g, s0, s63, 8).len());
     });
 
-    // Water filling with 2048 random entities over 256 links.
+    // Water filling with 2048 random one-subflow groups over 256 links,
+    // through the production allocator.
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let caps: Vec<f64> = (0..256).map(|_| rng.gen_range(1.0..40.0)).collect();
-    let entities: Vec<Entity> = (0..2048)
+    let paths: Vec<Vec<usize>> = (0..2048)
         .map(|_| {
             let len = rng.gen_range(2..6);
-            Entity {
-                weight: 1.0,
-                links: (0..len)
-                    .map(|_| rng.gen_range(0..256))
-                    .collect::<std::collections::BTreeSet<_>>()
-                    .into_iter()
-                    .collect(),
-            }
+            (0..len)
+                .map(|_| rng.gen_range(0..256))
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect()
         })
         .collect();
     c.bench_function("substrates/water_filling_2048x256", |b| {
-        b.iter(|| weighted_max_min(&caps, &entities));
+        b.iter(|| {
+            let mut a = IncrementalAllocator::new();
+            for p in &paths {
+                a.push_group(1.0, [p.iter().copied()]);
+            }
+            a.allocate(&caps);
+            a.group_rate_sum(a.group_at(0))
+        });
     });
 
     // Flat-tree instantiation (all three modes).

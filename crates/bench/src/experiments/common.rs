@@ -104,7 +104,7 @@ pub fn mptcp_rates(net: &DcNetwork, pairs: &[(usize, usize)], k: usize) -> Vec<f
             }
         })
         .collect();
-    connection_rates(&g.capacities(), &conns)
+    connection_rates(&g.capacities(), &conns).expect("paths routed on this graph")
 }
 
 /// The ingress/egress switch-pair route domain of a batch of server
@@ -159,7 +159,7 @@ pub fn mptcp_rates_shared(
             }
         })
         .collect();
-    connection_rates(&g.capacities(), &conns)
+    connection_rates(&g.capacities(), &conns).expect("paths routed on this graph")
 }
 
 /// Index pairs → unit-demand commodities with NIC-rate demand.

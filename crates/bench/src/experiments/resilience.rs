@@ -92,7 +92,7 @@ fn measure(
     for &l in down {
         caps[l.idx()] = 1e-9; // dead, but keep the allocator's invariants simple
     }
-    let rates = connection_rates(&caps, &conns);
+    let rates = connection_rates(&caps, &conns).expect("paths routed on this graph");
     let total: f64 = rates.iter().sum();
     // Disconnected pairs contribute zero throughput to the mean.
     let mean = total / pairs.len() as f64;

@@ -1,19 +1,19 @@
 //! Rate allocation for one simulation instant, and the persistent
 //! subflow→entity bindings the event loop drives between instants.
 //!
-//! [`connection_rates`] is the one-shot entry point: it runs a reusable
-//! [`AllocWorkspace`] over a connection list and folds subflow rates
-//! back into per-connection rates. The engine itself no longer rebuilds
-//! that entity list per event — it keeps a `Bindings`, which mirrors
-//! the engine's `active` connection vector inside an
-//! [`IncrementalAllocator`]: arrivals append, completions
-//! `swap_remove`, reroutes replace in place, and fault edges that
-//! reshuffle positions (park / revive / drop) resynchronize wholesale.
-//! Either way the allocator sees the exact entity order the old
-//! per-event rebuild produced, so rates are bit-identical.
+//! Both run on [`IncrementalAllocator`], the one production max-min
+//! allocator. [`connection_rates`] is the one-shot entry point: it
+//! pushes one group per connection into a fresh allocator and reads
+//! back each group's rate sum. The engine itself keeps a `Bindings`,
+//! which mirrors the engine's `active` connection vector inside a
+//! persistent allocator: arrivals append, completions `swap_remove`,
+//! reroutes replace in place, and fault edges that reshuffle positions
+//! (park / revive / drop) resynchronize wholesale. Either way the
+//! allocator sees the exact entity order a per-event rebuild would
+//! produce, so rates are bit-identical to the `weighted_max_min` oracle.
 
 use crate::error::SimError;
-use mcf::{AllocStats, AllocWorkspace, IncrementalAllocator};
+use mcf::{AllocStats, IncrementalAllocator};
 use netgraph::{Path, PathArena, PathId};
 
 /// One active connection's path set and fairness weight model.
@@ -27,38 +27,43 @@ pub struct ConnPaths {
 
 /// Computes per-connection rates (Gbps) under max-min fairness.
 ///
-/// `capacity[l]` indexes directed links by `LinkId::idx()`.
+/// `capacity[l]` indexes directed links by `LinkId::idx()`. A
+/// connection with no paths gets rate 0.
 ///
-/// Panics on a malformed connection (empty path, non-positive weight);
-/// use [`try_connection_rates`] for a typed error.
-pub fn connection_rates(capacity: &[f64], conns: &[ConnPaths]) -> Vec<f64> {
-    try_connection_rates(capacity, conns).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`connection_rates`] with typed input validation instead of panics.
-pub fn try_connection_rates(capacity: &[f64], conns: &[ConnPaths]) -> Result<Vec<f64>, SimError> {
-    let mut ws = AllocWorkspace::new();
-    let mut owner = Vec::new();
-    for (ci, c) in conns.iter().enumerate() {
-        for p in &c.paths {
-            ws.try_push_entity(c.subflow_weight, p.links.iter().map(|l| l.idx()))
-                .map_err(|source| SimError::InvalidAllocEntity { source })?;
-            owner.push(ci as u32);
+/// # Errors
+///
+/// [`SimError::UnknownPathLink`] if a path crosses a link outside
+/// `capacity`, and [`SimError::InvalidAllocEntity`] for an empty path
+/// or a non-positive weight.
+pub fn connection_rates(capacity: &[f64], conns: &[ConnPaths]) -> Result<Vec<f64>, SimError> {
+    let mut alloc = IncrementalAllocator::new();
+    let mut groups = Vec::with_capacity(conns.len());
+    for c in conns {
+        if let Some(link) = c
+            .paths
+            .iter()
+            .flat_map(|p| &p.links)
+            .find(|l| l.idx() >= capacity.len())
+        {
+            return Err(SimError::UnknownPathLink { link: link.idx() });
         }
+        if c.paths.is_empty() {
+            groups.push(None);
+            continue;
+        }
+        let g = alloc
+            .try_push_group(
+                c.subflow_weight,
+                c.paths.iter().map(|p| p.links.iter().map(|l| l.idx())),
+            )
+            .map_err(|source| SimError::InvalidAllocEntity { source })?;
+        groups.push(Some(g));
     }
-    Ok(fold_owner_rates(ws.allocate(capacity), &owner, conns.len()))
-}
-
-/// Folds flat per-subflow rates into per-connection rates by owner
-/// index — the shared folding used by [`connection_rates`] and (through
-/// per-group sums, which produce the same partial sums for contiguous
-/// groups) by [`Bindings`].
-pub(crate) fn fold_owner_rates(sub_rates: &[f64], owner: &[u32], n_conns: usize) -> Vec<f64> {
-    let mut rates = vec![0.0; n_conns];
-    for (&r, &ci) in sub_rates.iter().zip(owner) {
-        rates[ci as usize] += r;
-    }
-    rates
+    alloc.allocate(capacity);
+    Ok(groups
+        .into_iter()
+        .map(|g| g.map_or(0.0, |g| alloc.group_rate_sum(g)))
+        .collect())
 }
 
 /// Cumulative allocator-effort counters over a whole simulation run,
@@ -200,7 +205,7 @@ impl Bindings {
     }
 
     /// Connection `i`'s rate: its subflow rates folded in subflow
-    /// order (the same partial sums as the flat owner fold).
+    /// order.
     pub fn conn_rate(&self, i: usize) -> f64 {
         self.alloc.group_rate_sum(self.alloc.group_at(i))
     }
@@ -253,7 +258,7 @@ mod tests {
             paths,
             subflow_weight: 0.5, // coupled, k = 2
         }];
-        let rates = connection_rates(&g.capacities(), &conns);
+        let rates = connection_rates(&g.capacities(), &conns).unwrap();
         assert!((rates[0] - 20.0).abs() < 1e-9, "got {}", rates[0]);
     }
 
@@ -277,7 +282,7 @@ mod tests {
                 subflow_weight: 1.0,
             },
         ];
-        let rates = connection_rates(&g.capacities(), &conns);
+        let rates = connection_rates(&g.capacities(), &conns).unwrap();
         // Each 10G path splits 1:0.5 between TCP and the MPTCP subflow.
         assert!((rates[1] - 20.0 / 3.0).abs() < 1e-6, "tcp got {}", rates[1]);
         assert!((rates[2] - 20.0 / 3.0).abs() < 1e-6);
@@ -301,14 +306,14 @@ mod tests {
                 subflow_weight: 1.0,
             },
         ];
-        let r2 = connection_rates(&g.capacities(), &conns_unc);
+        let r2 = connection_rates(&g.capacities(), &conns_unc).unwrap();
         assert!(r2[0] > rates[0]);
     }
 
     #[test]
     fn empty_input() {
         let (g, _) = two_path_net();
-        assert!(connection_rates(&g.capacities(), &[]).is_empty());
+        assert!(connection_rates(&g.capacities(), &[]).unwrap().is_empty());
     }
 
     #[test]
@@ -319,7 +324,7 @@ mod tests {
             subflow_weight: 0.0,
         }];
         assert!(matches!(
-            try_connection_rates(&g.capacities(), &bad_weight),
+            connection_rates(&g.capacities(), &bad_weight),
             Err(SimError::InvalidAllocEntity {
                 source: mcf::AllocError::NonPositiveWeight { .. }
             })
@@ -330,8 +335,26 @@ mod tests {
         }];
         // A connection with no subflows pushes no entity at all: the
         // allocator sees an empty set and allocates it rate zero.
-        let rates = connection_rates(&g.capacities(), &no_paths);
+        let rates = connection_rates(&g.capacities(), &no_paths).unwrap();
         assert_eq!(rates, vec![0.0]);
+    }
+
+    #[test]
+    fn path_link_outside_capacity_is_a_typed_error() {
+        // Paths built on the full graph, capacities for a prefix of its
+        // links only: the allocator must not read the missing ones as 0.
+        let (g, paths) = two_path_net();
+        let caps = g.capacities();
+        // b→t, the last link added that a path crosses.
+        let link = paths[0].links.last().unwrap().idx();
+        let conns = vec![ConnPaths {
+            paths,
+            subflow_weight: 1.0,
+        }];
+        assert_eq!(
+            connection_rates(&caps[..link], &conns),
+            Err(SimError::UnknownPathLink { link })
+        );
     }
 
     #[test]
@@ -350,7 +373,7 @@ mod tests {
                 subflow_weight: 1.0,
             },
         ];
-        let want = connection_rates(&caps, &conns);
+        let want = connection_rates(&caps, &conns).unwrap();
         let mut b = Bindings::new();
         b.push(&arena, &pids, 0.5);
         b.push(&arena, &pids[..1], 1.0);
@@ -368,7 +391,8 @@ mod tests {
                 paths: vec![paths[0].clone()],
                 subflow_weight: 1.0,
             }],
-        );
+        )
+        .unwrap();
         assert_eq!(b.conn_rate(0).to_bits(), solo[0].to_bits());
         b.resync(&arena, [(pids.as_slice(), 0.5)].into_iter());
         b.allocate(&caps);

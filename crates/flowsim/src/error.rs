@@ -35,6 +35,11 @@ pub enum SimError {
         /// The allocator's typed rejection.
         source: mcf::AllocError,
     },
+    /// A connection's path crosses a link outside the capacity vector.
+    UnknownPathLink {
+        /// The out-of-range directed-link index.
+        link: usize,
+    },
     /// A fault-schedule event's time is NaN or infinite.
     NonFiniteFailureTime,
     /// A fault-schedule event names a link outside the graph.
@@ -64,6 +69,9 @@ impl std::fmt::Display for SimError {
             }
             Self::InvalidAllocEntity { source } => {
                 write!(f, "allocation entity rejected: {source}")
+            }
+            Self::UnknownPathLink { link } => {
+                write!(f, "path crosses unknown directed link {link}")
             }
             Self::NonFiniteFailureTime => write!(f, "fault event time is not finite"),
             Self::UnknownFailedLink { link } => {

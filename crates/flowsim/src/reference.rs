@@ -1,23 +1,25 @@
 //! The pre-refactor simulation engine, kept as the behavioral oracle.
 //!
 //! [`simulate_reference`] is the event loop as it existed before the
-//! engine refactor (interned paths, reusable allocation workspace,
-//! failure-epoch route cache): it clones `ConnPaths` per event, tracks
-//! failures in a `HashSet`, and re-routes with fresh Yen runs. It is the
-//! behavioral oracle — [`crate::simulate`] must produce bit-identical
-//! [`SimResult`]s — and the baseline the `bench_simcore` benchmark
-//! measures the refactored engine against. It is not meant for
-//! production use.
+//! engine refactor (interned paths, persistent incremental allocation,
+//! failure-epoch route cache): it clones path sets, tracks failures in a
+//! `HashSet`, re-routes with fresh Yen runs, and allocates every event
+//! from scratch through the textbook [`weighted_max_min`] oracle rather
+//! than the production allocator. It is the behavioral oracle —
+//! [`crate::simulate`] must produce bit-identical [`SimResult`]s — and
+//! the baseline the `bench_simcore` benchmark measures the refactored
+//! engine against. It is not meant for production use.
 //!
 //! The oracle predates recoveries: it replays a down-only
 //! [`FaultSchedule`] (permanent cuts, as compiled from
 //! `FaultPlan::flap(link, t, None)`) and drops connections that lose
 //! every path.
 
-use crate::alloc::{connection_rates, ConnPaths};
+use crate::alloc::ConnPaths;
 use crate::faults::FaultSchedule;
 use crate::sim::{FlowRecord, FlowSpec, SimConfig, SimResult, Transport};
 use crate::sim::{DONE_BYTES, GBPS_TO_BPS, STALL_RATE};
+use mcf::maxmin::{weighted_max_min, Entity};
 use netgraph::{ecmp, yen, Graph};
 use routing::RouteTable;
 
@@ -26,6 +28,27 @@ struct Active {
     spec: FlowSpec,
     remaining: f64,
     conn: ConnPaths,
+}
+
+/// Per-connection rates from the oracle allocator: one entity per
+/// subflow, subflow rates summed back per connection in path order.
+fn oracle_rates(caps: &[f64], active: &[Active]) -> Vec<f64> {
+    let mut entities = Vec::new();
+    let mut owner = Vec::new();
+    for (ci, a) in active.iter().enumerate() {
+        for p in &a.conn.paths {
+            entities.push(Entity {
+                weight: a.conn.subflow_weight,
+                links: p.links.iter().map(|l| l.idx()).collect(),
+            });
+            owner.push(ci);
+        }
+    }
+    let mut rates = vec![0.0; active.len()];
+    for (r, ci) in weighted_max_min(caps, &entities).into_iter().zip(owner) {
+        rates[ci] += r;
+    }
+    rates
 }
 
 /// Runs the fluid simulation with the pre-refactor engine under a
@@ -130,8 +153,7 @@ pub fn simulate_reference(
 
     loop {
         // Allocate under the current active set.
-        let conns: Vec<ConnPaths> = active.iter().map(|a| a.conn.clone()).collect();
-        let rates = connection_rates(&caps, &conns);
+        let rates = oracle_rates(&caps, &active);
         if cfg.record_series {
             series.push((t, rates.iter().sum()));
         }

@@ -1,11 +1,11 @@
 //! Incremental weighted max-min allocation with dirty-set propagation.
 //!
-//! [`AllocWorkspace`](crate::AllocWorkspace) re-derives everything from
-//! scratch on every call: it rebuilds the per-link user lists and active
-//! weights (O(Σ|links|)) and then scans *every* live link in *every*
-//! filling round (O(rounds × links)). Inside the fluid simulator that
-//! cost is paid per event even though one event changes a handful of
-//! entities.
+//! A from-scratch filling loop ([`weighted_max_min`](crate::maxmin::weighted_max_min),
+//! the oracle) re-derives everything on every call: it rebuilds the
+//! per-link user lists and active weights (O(Σ|links|)) and then scans
+//! *every* live link in *every* filling round (O(rounds × links)).
+//! Inside the fluid simulator that cost would be paid per event even
+//! though one event changes a handful of entities.
 //!
 //! [`IncrementalAllocator`] keeps the allocation state **across**
 //! calls and reconciles only what changed:
@@ -40,7 +40,7 @@
 //!
 //! Bit-identity is pinned by the property tests in
 //! `tests/proptests.rs`, which replay random arrival/departure/reroute/
-//! capacity-change sequences against a from-scratch reference at every
+//! clear/capacity-change sequences against `weighted_max_min` at every
 //! epoch.
 //!
 //! What this deliberately does **not** do is reuse frozen *rates* across
@@ -50,7 +50,34 @@
 //! are recomputed every epoch; the savings come from not rebuilding
 //! state and not scanning links that provably cannot matter yet.
 
-use crate::workspace::AllocError;
+use std::fmt;
+
+/// Why a group was rejected by
+/// [`IncrementalAllocator::try_push_group`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AllocError {
+    /// A subflow crosses no links (a real flow always occupies at least
+    /// its two NIC links), or the group has no subflows at all.
+    EmptyPath,
+    /// The fairness weight is zero, negative, or not finite.
+    NonPositiveWeight {
+        /// The rejected weight.
+        weight: f64,
+    },
+}
+
+impl fmt::Display for AllocError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::EmptyPath => write!(f, "entity with empty path"),
+            Self::NonPositiveWeight { weight } => {
+                write!(f, "entity weight must be positive (got {weight})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for AllocError {}
 
 /// Stable handle for a pushed group (one connection's subflow set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -967,6 +994,23 @@ mod tests {
     }
 
     #[test]
+    fn rounds_counter_tracks_filling_iterations() {
+        let mut a = IncrementalAllocator::new();
+        // Two entities on one shared link: a single filling round.
+        a.push_group(1.0, [vec![0usize]]);
+        a.push_group(1.0, [vec![0usize]]);
+        a.allocate(&[10.0]);
+        assert_eq!(a.stats().rounds, 1);
+        // Asymmetric two-link chain: the 4.0 link freezes first, then
+        // the leftover entity fills the 10.0 link — two rounds.
+        a.clear();
+        a.push_group(1.0, [vec![0usize, 1]]);
+        a.push_group(1.0, [vec![1usize]]);
+        a.allocate(&[4.0, 10.0]);
+        assert_eq!(a.stats().rounds, 2);
+    }
+
+    #[test]
     fn edits_stay_bit_identical() {
         let mut a = IncrementalAllocator::new();
         let mut caps = vec![10.0, 10.0, 4.0, 7.0, 12.0];
@@ -1047,6 +1091,18 @@ mod tests {
         assert_eq!(a.num_groups(), 0);
         let g = a.push_group(1.0, [vec![0usize]]).0;
         assert_eq!(g, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty path")]
+    fn rejects_empty_links() {
+        IncrementalAllocator::new().push_group(1.0, [std::iter::empty::<usize>()]);
+    }
+
+    #[test]
+    #[should_panic(expected = "weight must be positive")]
+    fn rejects_bad_weight() {
+        IncrementalAllocator::new().push_group(0.0, [[0usize]]);
     }
 
     #[test]

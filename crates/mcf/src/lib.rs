@@ -22,24 +22,22 @@
 //!   fairness over *fixed* path sets; this is the allocation model the
 //!   fluid simulator uses for TCP/MPTCP, shared here so LP baselines and
 //!   the simulator agree on primitives.
-
 //!
-//! The max-min filling loop is implemented once in
-//! [`workspace::AllocWorkspace`], a caller-owned scratch that hot loops
-//! (the fluid simulator) reuse across allocations;
-//! [`maxmin::weighted_max_min`] is a thin convenience wrapper over it.
-//! [`incremental::IncrementalAllocator`] layers persistent state and
-//! dirty-set reconciliation on top for callers whose entity population
-//! changes a little at a time — bit-identical output, incremental cost.
+//! Max-min filling has one production implementation,
+//! [`incremental::IncrementalAllocator`], which keeps state across
+//! allocations for callers whose entity population changes a little at a
+//! time (the fluid simulator) and serves one-shot callers just as well.
+//! [`maxmin::weighted_max_min`] is the textbook loop it is kept
+//! bit-identical to: the oracle for tests and the reference engine.
 
 pub mod concurrent;
 pub mod greedy;
 pub mod incremental;
 pub mod maxmin;
-pub mod workspace;
+#[cfg(test)]
+mod workspace;
 
-pub use incremental::{AllocStats, GroupId, IncrementalAllocator};
-pub use workspace::{AllocError, AllocWorkspace};
+pub use incremental::{AllocError, AllocStats, GroupId, IncrementalAllocator};
 
 use netgraph::NodeId;
 use serde::{Deserialize, Serialize};

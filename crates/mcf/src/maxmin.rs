@@ -28,17 +28,73 @@ pub struct Entity {
 /// `capacity[l]` is the capacity of link `l`. Entities with an empty link
 /// set are rejected (a flow always traverses at least its two NIC links).
 ///
+/// This is the textbook loop, kept as the oracle: it rebuilds all state
+/// per call and scans every live link every round. Production callers
+/// run [`IncrementalAllocator`](crate::IncrementalAllocator), which is
+/// bit-identical to it on the equivalent entity list.
+///
 /// Complexity: O(rounds × Σ|links|), rounds ≤ number of distinct
 /// bottlenecks ≤ number of links.
 pub fn weighted_max_min(capacity: &[f64], entities: &[Entity]) -> Vec<f64> {
-    // Thin wrapper over the reusable workspace; the filling loop lives in
-    // `workspace::AllocWorkspace::allocate` and produces bit-identical
-    // rates. Callers in a hot loop should own an `AllocWorkspace` instead.
-    let mut ws = crate::workspace::AllocWorkspace::new();
     for e in entities {
-        ws.push_entity(e.weight, e.links.iter().copied());
+        assert!(!e.links.is_empty(), "entity with empty path");
+        assert!(e.weight > 0.0, "entity weight must be positive");
     }
-    ws.allocate(capacity).to_vec()
+    let mut rates = vec![0.0; entities.len()];
+    if entities.is_empty() {
+        return rates;
+    }
+    let mut rem_cap = capacity.to_vec();
+    let mut act_w = vec![0.0f64; capacity.len()];
+    let mut users: Vec<Vec<usize>> = vec![Vec::new(); capacity.len()];
+    for (i, e) in entities.iter().enumerate() {
+        for &l in &e.links {
+            act_w[l] += e.weight;
+            users[l].push(i);
+        }
+    }
+    let mut frozen = vec![false; entities.len()];
+    let mut remaining = entities.len();
+    let mut live_links: Vec<usize> = (0..capacity.len()).filter(|&l| act_w[l] > 1e-12).collect();
+    while remaining > 0 {
+        let mut min_share = f64::INFINITY;
+        for &l in &live_links {
+            if act_w[l] > 1e-12 {
+                let share = rem_cap[l].max(0.0) / act_w[l];
+                if share < min_share {
+                    min_share = share;
+                }
+            }
+        }
+        if !min_share.is_finite() {
+            break;
+        }
+        // Freeze every active entity crossing *any* link at the minimum
+        // share (simultaneous bottlenecks resolve in one round).
+        let threshold = min_share * (1.0 + 1e-12) + 1e-15;
+        let mut victims: Vec<usize> = Vec::new();
+        for &l in &live_links {
+            if act_w[l] > 1e-12 && rem_cap[l].max(0.0) / act_w[l] <= threshold {
+                for &i in &users[l] {
+                    if !frozen[i] {
+                        frozen[i] = true;
+                        victims.push(i);
+                    }
+                }
+            }
+        }
+        for i in victims {
+            let rate = entities[i].weight * min_share;
+            rates[i] = rate;
+            remaining -= 1;
+            for &l in &entities[i].links {
+                rem_cap[l] -= rate;
+                act_w[l] -= entities[i].weight;
+            }
+        }
+        live_links.retain(|&l| act_w[l] > 1e-12);
+    }
+    rates
 }
 
 /// Convenience: unweighted max-min over paths given as link-index lists.

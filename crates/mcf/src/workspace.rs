@@ -1,306 +1,57 @@
-//! Reusable allocation workspace for progressive-filling max-min.
-//!
-//! [`maxmin::weighted_max_min`](crate::maxmin::weighted_max_min) builds
-//! five scratch vectors per call; inside the fluid simulator's event loop
-//! that is one allocation burst *per event*. [`AllocWorkspace`] keeps all
-//! scratch across calls and stores entities in CSR form (one flat link
-//! pool instead of a `Vec` per entity), so a steady-state simulation
-//! reallocates with zero heap traffic.
-//!
-//! The filling loop performs the exact floating-point operations of
-//! `weighted_max_min` in the exact order, so the two produce bit-identical
-//! rates for the same input (pinned by tests and a property test).
+//! Tests of [`IncrementalAllocator`](crate::IncrementalAllocator) used
+//! the way one-shot callers use it: as a reusable allocation workspace
+//! that is filled with one single-subflow group per entity, allocated,
+//! cleared and refilled. Test-only; the allocator itself lives in
+//! [`incremental`](crate::incremental).
 
-use std::fmt;
-
-/// Why an entity was rejected by [`AllocWorkspace::try_push_entity`] (or
-/// a group by
-/// [`IncrementalAllocator::try_push_group`](crate::incremental::IncrementalAllocator::try_push_group)).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AllocError {
-    /// The entity crosses no links; a real flow always occupies at least
-    /// its two NIC links.
-    EmptyPath,
-    /// The fairness weight is zero, negative, or not finite.
-    NonPositiveWeight {
-        /// The rejected weight.
-        weight: f64,
-    },
-}
-
-impl fmt::Display for AllocError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::EmptyPath => write!(f, "entity with empty path"),
-            Self::NonPositiveWeight { weight } => {
-                write!(f, "entity weight must be positive (got {weight})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for AllocError {}
-
-/// Caller-owned scratch for repeated max-min allocations.
-///
-/// Usage per round: [`clear`](Self::clear), one
-/// [`push_entity`](Self::push_entity) per rate receiver (in a fixed,
-/// deterministic order — entity order affects tie-breaking exactly as it
-/// does in `weighted_max_min`), then [`allocate`](Self::allocate).
-#[derive(Debug, Clone, Default)]
-pub struct AllocWorkspace {
-    // Entities, CSR layout: entity i has weight ent_weight[i] and links
-    // ent_links[ent_off[i] .. ent_off[i + 1]].
-    ent_weight: Vec<f64>,
-    ent_off: Vec<u32>,
-    ent_links: Vec<u32>,
-    // Filling-loop scratch, retained across calls.
-    rem_cap: Vec<f64>,
-    act_w: Vec<f64>,
-    users: Vec<Vec<u32>>,
-    frozen: Vec<bool>,
-    live_links: Vec<usize>,
-    victims: Vec<u32>,
-    rates: Vec<f64>,
-    // Filling rounds of the most recent allocate() call (observability).
-    last_rounds: u32,
-}
-
-impl AllocWorkspace {
-    /// Creates an empty workspace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops all entities, keeping scratch capacity.
-    pub fn clear(&mut self) {
-        self.ent_weight.clear();
-        self.ent_off.clear();
-        self.ent_links.clear();
-    }
-
-    /// Adds one rate receiver crossing the given link indices.
-    ///
-    /// Panics on an empty link set or non-positive weight, matching
-    /// `weighted_max_min`'s input contract. Fallible callers (anything
-    /// fed from external input) should use
-    /// [`try_push_entity`](Self::try_push_entity) instead.
-    pub fn push_entity(&mut self, weight: f64, links: impl IntoIterator<Item = usize>) {
-        if let Err(e) = self.try_push_entity(weight, links) {
-            panic!("{e}");
-        }
-    }
-
-    /// Adds one rate receiver, rejecting an empty link set or
-    /// non-positive weight with a typed error instead of panicking. On
-    /// error the workspace is unchanged.
-    pub fn try_push_entity(
-        &mut self,
-        weight: f64,
-        links: impl IntoIterator<Item = usize>,
-    ) -> Result<(), AllocError> {
-        if weight.is_nan() || weight <= 0.0 {
-            return Err(AllocError::NonPositiveWeight { weight });
-        }
-        if self.ent_off.is_empty() {
-            self.ent_off.push(0);
-        }
-        let before = self.ent_links.len();
-        self.ent_links.extend(links.into_iter().map(|l| l as u32));
-        if self.ent_links.len() == before {
-            return Err(AllocError::EmptyPath);
-        }
-        self.ent_weight.push(weight);
-        self.ent_off
-            .push(u32::try_from(self.ent_links.len()).expect("offsets fit u32"));
-        Ok(())
-    }
-
-    /// Number of entities pushed since the last [`clear`](Self::clear).
-    pub fn num_entities(&self) -> usize {
-        self.ent_weight.len()
-    }
-
-    /// Computes the weighted max-min fair rate of every pushed entity.
-    ///
-    /// Returns one rate per entity, in push order; the slice is valid
-    /// until the next call. Bit-identical to
-    /// [`weighted_max_min`](crate::maxmin::weighted_max_min) on the
-    /// equivalent input.
-    pub fn allocate(&mut self, capacity: &[f64]) -> &[f64] {
-        let n = self.ent_weight.len();
-        self.last_rounds = 0;
-        self.rates.clear();
-        self.rates.resize(n, 0.0);
-        if n == 0 {
-            return &self.rates;
-        }
-        debug_assert!(
-            self.ent_links
-                .iter()
-                .all(|&l| (l as usize) < capacity.len()),
-            "entity link index out of capacity range"
-        );
-
-        self.rem_cap.clear();
-        self.rem_cap.extend_from_slice(capacity);
-        self.act_w.clear();
-        self.act_w.resize(capacity.len(), 0.0);
-        if self.users.len() < capacity.len() {
-            self.users.resize_with(capacity.len(), Vec::new);
-        }
-        for u in &mut self.users[..capacity.len()] {
-            u.clear();
-        }
-        for i in 0..n {
-            let w = self.ent_weight[i];
-            for idx in self.ent_off[i]..self.ent_off[i + 1] {
-                let l = self.ent_links[idx as usize] as usize;
-                self.act_w[l] += w;
-                self.users[l].push(i as u32);
-            }
-        }
-        self.frozen.clear();
-        self.frozen.resize(n, false);
-        let mut remaining = n;
-        self.live_links.clear();
-        self.live_links
-            .extend((0..capacity.len()).filter(|&l| self.act_w[l] > 1e-12));
-
-        while remaining > 0 {
-            self.last_rounds += 1;
-            // Most contended share among live links.
-            let mut min_share = f64::INFINITY;
-            for &l in &self.live_links {
-                if self.act_w[l] > 1e-12 {
-                    let share = self.rem_cap[l].max(0.0) / self.act_w[l];
-                    if share < min_share {
-                        min_share = share;
-                    }
-                }
-            }
-            if !min_share.is_finite() {
-                break; // no active links left (shouldn't happen with users)
-            }
-            // Freeze every active entity crossing *any* link at the
-            // minimum share (simultaneous bottlenecks resolve in one
-            // round — crucial for the symmetric NIC-bound case).
-            let threshold = min_share * (1.0 + 1e-12) + 1e-15;
-            self.victims.clear();
-            for &l in &self.live_links {
-                if self.act_w[l] > 1e-12 && self.rem_cap[l].max(0.0) / self.act_w[l] <= threshold {
-                    for &i in &self.users[l] {
-                        if !self.frozen[i as usize] {
-                            self.frozen[i as usize] = true;
-                            self.victims.push(i);
-                        }
-                    }
-                }
-            }
-            debug_assert!(!self.victims.is_empty());
-            for v in 0..self.victims.len() {
-                let i = self.victims[v] as usize;
-                let w = self.ent_weight[i];
-                let rate = w * min_share;
-                self.rates[i] = rate;
-                remaining -= 1;
-                for idx in self.ent_off[i]..self.ent_off[i + 1] {
-                    let l = self.ent_links[idx as usize] as usize;
-                    self.rem_cap[l] -= rate;
-                    self.act_w[l] -= w;
-                }
-            }
-            let act_w = &self.act_w;
-            self.live_links.retain(|&l| act_w[l] > 1e-12);
-        }
-        &self.rates
-    }
-
-    /// Rates from the most recent [`allocate`](Self::allocate) call.
-    pub fn rates(&self) -> &[f64] {
-        &self.rates
-    }
-
-    /// Progressive-filling rounds the most recent
-    /// [`allocate`](Self::allocate) call took to converge (0 before any
-    /// call or for an empty entity set) — the allocator-iteration
-    /// counter surfaced by the engine's `Alloc` trace events.
-    pub fn last_rounds(&self) -> u32 {
-        self.last_rounds
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::maxmin::{weighted_max_min, Entity};
+    use crate::IncrementalAllocator;
 
-    fn via_workspace(capacity: &[f64], entities: &[Entity]) -> Vec<f64> {
-        let mut ws = AllocWorkspace::new();
-        for e in entities {
-            ws.push_entity(e.weight, e.links.iter().copied());
+    /// Loads `entities` as one single-subflow group each, allocates, and
+    /// returns the rates in push order.
+    fn fill_and_allocate(
+        a: &mut IncrementalAllocator,
+        capacity: &[f64],
+        entities: &[Entity],
+    ) -> Vec<f64> {
+        a.clear();
+        let groups: Vec<_> = entities
+            .iter()
+            .map(|e| a.push_group(e.weight, [e.links.iter().copied()]))
+            .collect();
+        a.allocate(capacity);
+        groups.into_iter().map(|g| a.group_rates(g)[0]).collect()
+    }
+
+    fn entity(weight: f64, links: &[usize]) -> Entity {
+        Entity {
+            weight,
+            links: links.to_vec(),
         }
-        ws.allocate(capacity).to_vec()
     }
 
     #[test]
     fn matches_weighted_max_min_bitwise() {
         let cases: Vec<(Vec<f64>, Vec<Entity>)> = vec![
-            (
-                vec![10.0],
-                vec![
-                    Entity {
-                        weight: 1.0,
-                        links: vec![0],
-                    },
-                    Entity {
-                        weight: 1.0,
-                        links: vec![0],
-                    },
-                ],
-            ),
+            (vec![10.0], vec![entity(1.0, &[0]), entity(1.0, &[0])]),
             (
                 vec![10.0, 10.0],
-                vec![
-                    Entity {
-                        weight: 1.0,
-                        links: vec![0, 1],
-                    },
-                    Entity {
-                        weight: 1.0,
-                        links: vec![0],
-                    },
-                    Entity {
-                        weight: 1.0,
-                        links: vec![1],
-                    },
-                ],
+                vec![entity(1.0, &[0, 1]), entity(1.0, &[0]), entity(1.0, &[1])],
             ),
             (
                 vec![4.0, 10.0, 7.3],
                 vec![
-                    Entity {
-                        weight: 2.5,
-                        links: vec![0, 1],
-                    },
-                    Entity {
-                        weight: 1.0,
-                        links: vec![0, 2],
-                    },
-                    Entity {
-                        weight: 0.5,
-                        links: vec![1, 2],
-                    },
-                    Entity {
-                        weight: 1.0,
-                        links: vec![2],
-                    },
+                    entity(2.5, &[0, 1]),
+                    entity(1.0, &[0, 2]),
+                    entity(0.5, &[1, 2]),
+                    entity(1.0, &[2]),
                 ],
             ),
         ];
         for (cap, ents) in cases {
             let a = weighted_max_min(&cap, &ents);
-            let b = via_workspace(&cap, &ents);
+            let b = fill_and_allocate(&mut IncrementalAllocator::new(), &cap, &ents);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.to_bits(), y.to_bits(), "rates must be bit-identical");
@@ -310,63 +61,25 @@ mod tests {
 
     #[test]
     fn reuse_across_calls_is_clean() {
-        let mut ws = AllocWorkspace::new();
-        ws.push_entity(1.0, [0usize, 1]);
-        ws.push_entity(1.0, [0usize]);
-        let first = ws.allocate(&[10.0, 10.0]).to_vec();
+        let mut a = IncrementalAllocator::new();
+        let shape = [entity(1.0, &[0, 1]), entity(1.0, &[0])];
+        let first = fill_and_allocate(&mut a, &[10.0, 10.0], &shape);
         assert_eq!(first.len(), 2);
         // Second round: different shape and capacity vector length.
-        ws.clear();
-        ws.push_entity(3.0, [0usize]);
-        ws.push_entity(1.0, [0usize]);
-        let second = ws.allocate(&[8.0]).to_vec();
+        let second = fill_and_allocate(&mut a, &[8.0], &[entity(3.0, &[0]), entity(1.0, &[0])]);
         assert!((second[0] - 6.0).abs() < 1e-9);
         assert!((second[1] - 2.0).abs() < 1e-9);
         // Third round: back to the first shape, rates must match round one.
-        ws.clear();
-        ws.push_entity(1.0, [0usize, 1]);
-        ws.push_entity(1.0, [0usize]);
-        let third = ws.allocate(&[10.0, 10.0]).to_vec();
+        let third = fill_and_allocate(&mut a, &[10.0, 10.0], &shape);
         assert_eq!(first, third);
     }
 
     #[test]
     fn empty_workspace_allocates_nothing() {
-        let mut ws = AllocWorkspace::new();
-        assert!(ws.allocate(&[5.0]).is_empty());
-        assert_eq!(ws.num_entities(), 0);
-        assert_eq!(ws.last_rounds(), 0);
-    }
-
-    #[test]
-    fn rounds_counter_tracks_filling_iterations() {
-        let mut ws = AllocWorkspace::new();
-        assert_eq!(ws.last_rounds(), 0);
-        // Two entities on one shared link: a single filling round.
-        ws.push_entity(1.0, [0usize]);
-        ws.push_entity(1.0, [0usize]);
-        ws.allocate(&[10.0]);
-        assert_eq!(ws.last_rounds(), 1);
-        // Asymmetric two-link chain: the 4.0 link freezes first, then
-        // the leftover entity fills the 10.0 link — two rounds.
-        ws.clear();
-        ws.push_entity(1.0, [0usize, 1]);
-        ws.push_entity(1.0, [1usize]);
-        ws.allocate(&[4.0, 10.0]);
-        assert_eq!(ws.last_rounds(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty path")]
-    fn rejects_empty_links() {
-        let mut ws = AllocWorkspace::new();
-        ws.push_entity(1.0, std::iter::empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "weight must be positive")]
-    fn rejects_bad_weight() {
-        let mut ws = AllocWorkspace::new();
-        ws.push_entity(0.0, [0usize]);
+        let mut a = IncrementalAllocator::new();
+        assert!(fill_and_allocate(&mut a, &[5.0], &[]).is_empty());
+        assert_eq!(a.num_groups(), 0);
+        assert_eq!(a.num_entities(), 0);
+        assert_eq!(a.stats().rounds, 0);
     }
 }

@@ -1,7 +1,6 @@
 //! Property tests for the MCF approximations.
 
 use mcf::maxmin::{max_min, verify_max_min, weighted_max_min, Entity};
-use mcf::AllocWorkspace;
 use mcf::{concurrent::max_concurrent_flow, Commodity};
 use netgraph::{Graph, NodeId, NodeKind};
 use proptest::prelude::*;
@@ -35,115 +34,8 @@ fn random_net(switches: usize, servers: usize, extra: usize, seed: u64) -> (Grap
     (g, servers)
 }
 
-/// Verbatim copy of the progressive-filling loop as it existed before
-/// the workspace refactor — the oracle the reusable
-/// [`AllocWorkspace`] must match bit-for-bit.
-fn reference_weighted_max_min(capacity: &[f64], entities: &[Entity]) -> Vec<f64> {
-    for e in entities {
-        assert!(!e.links.is_empty(), "entity with empty path");
-        assert!(e.weight > 0.0, "entity weight must be positive");
-    }
-    let mut rates = vec![0.0; entities.len()];
-    if entities.is_empty() {
-        return rates;
-    }
-    let mut rem_cap = capacity.to_vec();
-    let mut act_w = vec![0.0f64; capacity.len()];
-    let mut users: Vec<Vec<usize>> = vec![Vec::new(); capacity.len()];
-    for (i, e) in entities.iter().enumerate() {
-        for &l in &e.links {
-            act_w[l] += e.weight;
-            users[l].push(i);
-        }
-    }
-    let mut frozen = vec![false; entities.len()];
-    let mut remaining = entities.len();
-    let mut live_links: Vec<usize> = (0..capacity.len()).filter(|&l| act_w[l] > 1e-12).collect();
-    while remaining > 0 {
-        let mut min_share = f64::INFINITY;
-        for &l in &live_links {
-            if act_w[l] > 1e-12 {
-                let share = rem_cap[l].max(0.0) / act_w[l];
-                if share < min_share {
-                    min_share = share;
-                }
-            }
-        }
-        if !min_share.is_finite() {
-            break;
-        }
-        let threshold = min_share * (1.0 + 1e-12) + 1e-15;
-        let mut victims: Vec<usize> = Vec::new();
-        for &l in &live_links {
-            if act_w[l] > 1e-12 && rem_cap[l].max(0.0) / act_w[l] <= threshold {
-                for &i in &users[l] {
-                    if !frozen[i] {
-                        frozen[i] = true;
-                        victims.push(i);
-                    }
-                }
-            }
-        }
-        for i in victims {
-            let rate = entities[i].weight * min_share;
-            rates[i] = rate;
-            remaining -= 1;
-            for &l in &entities[i].links {
-                rem_cap[l] -= rate;
-                act_w[l] -= entities[i].weight;
-            }
-        }
-        live_links.retain(|&l| act_w[l] > 1e-12);
-    }
-    rates
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The reusable workspace allocator reproduces the pre-refactor
-    /// filling loop bit-for-bit on random entity sets — including when
-    /// the same workspace is reused across differently-shaped rounds.
-    #[test]
-    fn workspace_matches_reference_bitwise(
-        links in 1usize..12,
-        rounds in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut ws = AllocWorkspace::new();
-        for _ in 0..rounds {
-            let ents = rng.gen_range(1..20usize);
-            let caps: Vec<f64> = (0..links).map(|_| rng.gen_range(1.0..20.0)).collect();
-            let entities: Vec<Entity> = (0..ents)
-                .map(|_| {
-                    let n = rng.gen_range(1..=links);
-                    let mut ls: Vec<usize> = (0..links).collect();
-                    for i in 0..n {
-                        let j = rng.gen_range(i..links);
-                        ls.swap(i, j);
-                    }
-                    ls.truncate(n);
-                    Entity { weight: rng.gen_range(0.5..4.0), links: ls }
-                })
-                .collect();
-            let want = reference_weighted_max_min(&caps, &entities);
-            // The public wrapper must match too.
-            let via_wrapper = weighted_max_min(&caps, &entities);
-            ws.clear();
-            for e in &entities {
-                ws.push_entity(e.weight, e.links.iter().copied());
-            }
-            let got = ws.allocate(&caps);
-            prop_assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert_eq!(g.to_bits(), w.to_bits());
-            }
-            for (g, w) in via_wrapper.iter().zip(&want) {
-                prop_assert_eq!(g.to_bits(), w.to_bits());
-            }
-        }
-    }
 
     /// Max-min allocations over random entity sets are always feasible and
     /// bottleneck-justified.
@@ -262,13 +154,15 @@ mod incremental_epochs {
             seed in any::<u64>(),
         ) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut links = links;
             let mut caps: Vec<f64> = (0..links).map(|_| rng.gen_range(1.0..20.0)).collect();
             let mut alloc = IncrementalAllocator::new();
             let mut mirror: Vec<Group> = Vec::new();
             for _ in 0..epochs {
                 // One structural edit per epoch, like the engine's
-                // arrival / departure / park / reroute / failure edges.
-                match rng.gen_range(0..6u32) {
+                // arrival / departure / park / reroute / resync / failure
+                // edges.
+                match rng.gen_range(0..7u32) {
                     0 | 1 => {
                         let g = random_group(&mut rng, links);
                         alloc.push_group(g.weight, g.subflows.iter().map(|p| p.iter().copied()));
@@ -298,6 +192,21 @@ mod incremental_epochs {
                                 g.subflows.iter().map(|p| p.iter().copied()),
                             );
                             mirror[i] = g;
+                        }
+                    }
+                    5 => {
+                        // Clear, then refill on a capacity vector of a
+                        // new length: the engine's resync edge, and reuse
+                        // of one allocator across differently-shaped
+                        // link sets.
+                        links = rng.gen_range(2..14usize);
+                        caps = (0..links).map(|_| rng.gen_range(1.0..20.0)).collect();
+                        alloc.clear();
+                        mirror.clear();
+                        for _ in 0..rng.gen_range(0..4usize) {
+                            let g = random_group(&mut rng, links);
+                            alloc.push_group(g.weight, g.subflows.iter().map(|p| p.iter().copied()));
+                            mirror.push(g);
                         }
                     }
                     _ => {

@@ -147,7 +147,10 @@ pub fn steady_state_gbps_with_k(rig: &TestbedRig, mode: PodMode, k: usize) -> f6
         })
         .collect();
     let caps: Vec<f64> = g.link_ids().map(|l| g.link(l).capacity_gbps).collect();
-    connection_rates(&caps, &conns).iter().sum()
+    connection_rates(&caps, &conns)
+        .expect("paths routed on this graph")
+        .iter()
+        .sum()
 }
 
 /// Runs the full Figure 10 timeline.
