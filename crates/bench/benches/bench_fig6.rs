@@ -13,7 +13,10 @@ fn bench(c: &mut Criterion) {
     let inst = common::instance(&ft, PodMode::Global);
     let pairs = permutation(inst.net.num_servers(), 1);
     c.bench_function("fig6/mptcp_rates_k8", |b| {
-        b.iter(|| common::mptcp_rates(&inst.net, &pairs, 8));
+        b.iter(|| {
+            let table = common::shared_route_table(&inst.net, &pairs, 8);
+            common::mptcp_rates(&inst.net, &pairs, &table)
+        });
     });
     let coms = common::commodities(&inst.net, &pairs, 10.0);
     c.bench_function("fig6/lp_avg_greedy", |b| {

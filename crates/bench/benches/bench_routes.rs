@@ -1,10 +1,10 @@
 //! Criterion bench for the shared route plane: the parallel full-table
-//! precompute, the failure-overlay recompute (only footprint-affected
-//! pairs re-run Yen), and the failure-epoch simulation that motivated
-//! the fix — switch-level splicing under faults against the old
-//! server-level re-Yen per server pair (kept here as the oracle
-//! provider). All variants are bit-identical in output (pinned by
-//! `route_equivalence`); this measures the wall-clock they trade.
+//! precompute, and the failure-epoch simulation that motivated
+//! switch-level routing — `MptcpProvider` splicing under faults (over
+//! the shared table and over an empty one) against the old server-level
+//! re-Yen per server pair (kept here as the oracle provider). All
+//! variants are bit-identical in output (pinned by `route_equivalence`);
+//! this measures the wall-clock they trade.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flat_tree::PodMode;
@@ -111,17 +111,7 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    // Overlay recompute for one dead cable: only the switch pairs whose
-    // footprint crosses it re-run Yen.
-    let table = SharedRouteTable::build(g, k);
     let cable = first_cable(g);
-    let mut down = vec![cable];
-    if let Some(r) = g.link(cable).reverse {
-        down.push(r);
-    }
-    c.bench_function("route_plane/overlay_one_cable", |b| {
-        b.iter(|| black_box(table.overlay(g, &down)));
-    });
 
     // The failure-epoch simulation itself: fixed provider vs the old
     // server-level re-Yen, same workload as `sim_mptcp8_failure`.
@@ -137,7 +127,7 @@ fn bench(c: &mut Criterion) {
         simulate_under_faults_with_provider_traced(g, &flows, &cfg, &sched, p, &mut NoopSink)
             .expect("valid workload")
     };
-    let shared = Arc::new(table);
+    let shared = Arc::new(SharedRouteTable::build(g, k));
     c.bench_function("sim_mptcp8_failure/switch_level_shared", |b| {
         b.iter(|| {
             let mut p = flowsim::provider::MptcpProvider::with_shared(shared.clone(), true);

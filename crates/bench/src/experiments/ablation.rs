@@ -28,7 +28,8 @@ fn measure(ft: &FlatTree, seed: u64) -> (f64, f64) {
     let inst = ft.instantiate(&ModeAssignment::uniform(ft.pods(), PodMode::Global));
     let apl = avg_server_path_length(&inst.net.graph).expect("nonempty");
     let pairs = traffic::patterns::permutation(inst.net.num_servers(), seed);
-    let rates = common::mptcp_rates(&inst.net, &pairs, 8);
+    let table = common::shared_route_table(&inst.net, &pairs, 8);
+    let rates = common::mptcp_rates(&inst.net, &pairs, &table);
     (apl, crate::report::mean(&rates))
 }
 

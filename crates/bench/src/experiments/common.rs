@@ -4,7 +4,7 @@ use flat_tree::{FlatTree, FlatTreeInstance, FlatTreeParams, ModeAssignment, PodM
 use flowsim::alloc::{connection_rates, ConnPaths};
 use mcf::Commodity;
 use netgraph::NodeId;
-use routing::{RouteTable, SharedRouteTable};
+use routing::SharedRouteTable;
 use std::sync::Arc;
 use topology::{ClosParams, DcNetwork};
 
@@ -87,26 +87,6 @@ pub fn instance(ft: &FlatTree, mode: PodMode) -> FlatTreeInstance {
     ft.instantiate(&ModeAssignment::uniform(ft.pods(), mode))
 }
 
-/// Steady-state per-connection MPTCP rates (Gbps) for a batch of
-/// (src index, dst index) pairs. Coupled subflows over k-shortest paths.
-pub fn mptcp_rates(net: &DcNetwork, pairs: &[(usize, usize)], k: usize) -> Vec<f64> {
-    let g = &net.graph;
-    let mut rt = RouteTable::new(k);
-    let conns: Vec<ConnPaths> = pairs
-        .iter()
-        .map(|&(s, d)| {
-            let paths = rt.server_paths(g, net.servers[s], net.servers[d]);
-            assert!(!paths.is_empty(), "pair ({s},{d}) unroutable");
-            let w = 1.0 / paths.len() as f64;
-            ConnPaths {
-                paths,
-                subflow_weight: w,
-            }
-        })
-        .collect();
-    connection_rates(&g.capacities(), &conns).expect("paths routed on this graph")
-}
-
 /// The ingress/egress switch-pair route domain of a batch of server
 /// index pairs (intra-rack pairs need no switch paths and are skipped).
 pub fn switch_pairs(net: &DcNetwork, pairs: &[(usize, usize)]) -> Vec<(NodeId, NodeId)> {
@@ -122,8 +102,7 @@ pub fn switch_pairs(net: &DcNetwork, pairs: &[(usize, usize)]) -> Vec<(NodeId, N
 }
 
 /// One parallel-precomputed route table covering a pair batch at `k`,
-/// built once and shared (via `Arc`) by every cell that routes it —
-/// instead of a private lazy [`RouteTable`] per cell.
+/// built once and shared (via `Arc`) by every cell that routes it.
 pub fn shared_route_table(
     net: &DcNetwork,
     pairs: &[(usize, usize)],
@@ -136,10 +115,10 @@ pub fn shared_route_table(
     ))
 }
 
-/// [`mptcp_rates`] over a precomputed shared route table. The spliced
-/// path sets are identical to the lazy per-cell table's, so the rates
-/// are bit-for-bit the same; only the Yen runs are shared and parallel.
-pub fn mptcp_rates_shared(
+/// Steady-state per-connection MPTCP rates (Gbps) for a batch of
+/// (src index, dst index) pairs: coupled subflows over the k-shortest
+/// paths of a table covering the batch (see [`shared_route_table`]).
+pub fn mptcp_rates(
     net: &DcNetwork,
     pairs: &[(usize, usize)],
     table: &SharedRouteTable,
@@ -227,26 +206,12 @@ mod tests {
     }
 
     #[test]
-    fn shared_rates_match_lazy_rates() {
-        let ft = flat_tree_over(mini_topo(2));
-        let inst = instance(&ft, PodMode::Global);
-        let pairs = traffic::patterns::permutation(inst.net.num_servers(), 7);
-        for k in [4usize, 8] {
-            let table = shared_route_table(&inst.net, &pairs, k);
-            assert_eq!(
-                mptcp_rates_shared(&inst.net, &pairs, &table),
-                mptcp_rates(&inst.net, &pairs, k),
-                "k={k}"
-            );
-        }
-    }
-
-    #[test]
     fn mptcp_rates_respect_nic() {
         let ft = flat_tree_over(mini_topo(2));
         let inst = instance(&ft, PodMode::Global);
         let pairs = traffic::patterns::permutation(inst.net.num_servers(), 3);
-        let rates = mptcp_rates(&inst.net, &pairs, 8);
+        let table = shared_route_table(&inst.net, &pairs, 8);
+        let rates = mptcp_rates(&inst.net, &pairs, &table);
         assert_eq!(rates.len(), pairs.len());
         assert!(rates.iter().all(|&r| r > 0.0 && r <= nic_gbps() + 1e-6));
     }

@@ -117,7 +117,7 @@ pub fn run(scale: Scale) -> Vec<Cell> {
         let lp_avg = mean(&max_total_flow(&net.graph, &coms)).max(lp_min_avg);
         let mut mptcp = [0.0f64; 3];
         for (i, table) in job.tables.iter().enumerate() {
-            let rates = common::mptcp_rates_shared(net, &job.pairs, table);
+            let rates = common::mptcp_rates(net, &job.pairs, table);
             mptcp[i] = crate::report::mean(&rates) / lp_min_avg;
         }
         Cell {

@@ -31,7 +31,7 @@ pub fn run(scale: Scale) -> Vec<Box> {
     let mut boxes = Vec::new();
     for (tname, pairs) in traffics(net.num_servers(), net.num_pods(), scale.seed) {
         let coms = common::commodities(net, &pairs, common::nic_gbps());
-        let mptcp = common::mptcp_rates(net, &pairs, 8);
+        let mptcp = common::mptcp_rates(net, &pairs, &common::shared_route_table(net, &pairs, 8));
         let lp_avg = max_total_flow(&net.graph, &coms);
         let lp_min = max_concurrent_flow(&net.graph, &coms, 0.12);
         let lp_min_rates = lp_min.lp_min_rates(&coms);

@@ -19,12 +19,14 @@ use crate::sweep::sweep;
 use crate::Scale;
 use flat_tree::PodMode;
 use flowsim::alloc::{connection_rates, ConnPaths};
-use netgraph::{Graph, LinkId, NodeId};
+use flowsim::{FailedLinks, FlowSpec, MptcpProvider, PathProvider};
+use netgraph::{Graph, LinkId, NodeId, PathArena};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use routing::SharedRouteTable;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Failure fractions swept.
 pub const FRACTIONS: [f64; 6] = [0.0, 0.02, 0.05, 0.10, 0.15, 0.20];
@@ -61,33 +63,43 @@ fn cables(g: &Graph) -> Vec<LinkId> {
 }
 
 /// Mean throughput and disconnection rate with a given failed-cable
-/// set. Routes come from the shared precomputed table through a failure
-/// **overlay**: only switch pairs whose cached paths cross a failed
-/// link are re-run (masked), the rest splice unchanged — bit-identical
+/// set. Every pair is routed by a coupled [`MptcpProvider`] over the
+/// shared precomputed table, which re-runs a masked Yen only for switch
+/// pairs whose cached footprint crosses a failed link — bit-identical
 /// to a from-scratch masked Yen per server pair.
 fn measure(
     g: &Graph,
     pairs: &[(NodeId, NodeId)],
-    table: &SharedRouteTable,
+    table: &Arc<SharedRouteTable>,
     down: &[LinkId],
 ) -> (f64, f64) {
-    let ov = table.overlay(g, down);
-    let mut conns = Vec::new();
-    let mut disconnected = 0usize;
-    for &(s, d) in pairs {
-        let paths = table
-            .server_paths_with(g, &ov, s, d)
-            .expect("pair covered by the shared table");
-        if paths.is_empty() {
-            disconnected += 1;
-            continue;
-        }
-        let w = 1.0 / paths.len() as f64;
-        conns.push(ConnPaths {
-            paths,
-            subflow_weight: w,
-        });
+    let mut failed = FailedLinks::new(g.link_count());
+    for &l in down {
+        failed.fail(l);
     }
+    let mut provider = MptcpProvider::with_shared(Arc::clone(table), true);
+    let mut arena = PathArena::new();
+    let mut conns = Vec::new();
+    for (id, &(src, dst)) in pairs.iter().enumerate() {
+        let spec = FlowSpec {
+            id: id as u64,
+            src,
+            dst,
+            bytes: 1.0,
+            start: 0.0,
+        };
+        if let Some(routed) = provider.route(g, &mut arena, &failed, &spec) {
+            conns.push(ConnPaths {
+                paths: routed
+                    .path_ids
+                    .iter()
+                    .map(|&i| arena.get(i).clone())
+                    .collect(),
+                subflow_weight: routed.subflow_weight,
+            });
+        }
+    }
+    let disconnected = pairs.len() - conns.len();
     let mut caps = g.capacities();
     for &l in down {
         caps[l.idx()] = 1e-9; // dead, but keep the allocator's invariants simple
@@ -122,7 +134,7 @@ pub fn run(scale: Scale) -> Vec<Point> {
             .map(|&(s, d)| (net.servers[s], net.servers[d]))
             .collect();
         // One parallel-precomputed table per network; every (fraction,
-        // trial) cell reads it through its own failure overlay.
+        // trial) cell routes over it with its own provider.
         let table = common::shared_route_table(net, &index_pairs, k);
         let all_cables = cables(g);
         // Sweep (fraction, trial) cells on the shared parallel driver.

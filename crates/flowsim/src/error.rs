@@ -2,8 +2,9 @@
 //!
 //! Every run entry point validates its workload and fault schedule and
 //! returns a typed [`SimError`] instead of panicking on bad input (NaN
-//! start times, self-flows, empty flows, malformed schedules). Callers
-//! whose inputs are correct by construction `expect` the result.
+//! start times, self-flows, empty flows, endpoints outside the graph,
+//! malformed schedules). Callers whose inputs are correct by
+//! construction `expect` the result.
 
 use netgraph::NodeId;
 
@@ -27,6 +28,13 @@ pub enum SimError {
         /// The offending flow's caller-chosen id.
         flow: u64,
         /// The shared endpoint.
+        node: NodeId,
+    },
+    /// A flow's source or destination is not a node of the graph.
+    UnknownEndpoint {
+        /// The offending flow's caller-chosen id.
+        flow: u64,
+        /// The out-of-range endpoint.
         node: NodeId,
     },
     /// A rate receiver handed to the allocator was malformed (empty
@@ -66,6 +74,9 @@ impl std::fmt::Display for SimError {
             }
             Self::SelfFlow { flow, node } => {
                 write!(f, "flow {flow}: source equals destination (node {node:?})")
+            }
+            Self::UnknownEndpoint { flow, node } => {
+                write!(f, "flow {flow}: endpoint {node:?} is not in the graph")
             }
             Self::InvalidAllocEntity { source } => {
                 write!(f, "allocation entity rejected: {source}")

@@ -101,16 +101,6 @@ impl FailedLinks {
     pub fn path_alive(&self, links: &[LinkId]) -> bool {
         links.iter().all(|&l| !self.down[l.idx()])
     }
-
-    /// The failed directed links, ascending by id. Used to hand the
-    /// failure set to route-plane overlays.
-    pub fn down_links(&self) -> Vec<LinkId> {
-        self.down
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &d)| d.then_some(LinkId(i as u32)))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,12 @@
 //! [`FailedLinks::epoch`]: post-failure arrivals between two failure
 //! events hit the cached failure-aware answer instead of recomputing it.
 //!
+//! Two providers ship: [`EcmpProvider`] for single-path TCP and
+//! [`MptcpProvider`], the one failure-aware MPTCP router. The latter
+//! reads switch-pair entries from a shared [`SharedRouteTable`] with a
+//! lazy [`RouteTable`] fallback and reuses an entry exactly when its
+//! Yen footprint has no failed link.
+//!
 //! Providers return paths as [`PathId`]s interned in the simulation's
 //! [`PathArena`], so the hot loop never clones a path.
 
@@ -124,81 +130,54 @@ impl PathProvider for EcmpProvider {
     }
 }
 
-/// Switch-pair route source backing an [`MptcpProvider`].
-#[derive(Debug)]
-enum Backend {
-    /// A lazily-filled per-provider table (the default).
-    Lazy(RouteTable),
-    /// A precomputed [`SharedRouteTable`] shared across simulations,
-    /// with a lazy fallback for pairs outside the table's domain.
-    Shared {
-        table: Arc<SharedRouteTable>,
-        fallback: RouteTable,
-    },
-}
-
-/// MPTCP over the k-shortest paths.
+/// MPTCP over the k-shortest paths: the one failure-aware MPTCP router.
 ///
 /// Routing always happens at the **switch-pair** level (§4.2.1
 /// Observations 1–2): paths between the ingress and egress switches,
-/// with the two server uplinks spliced on. Failures keep that
-/// granularity — failed links are masked in the switch-pair Yen run,
-/// the surviving uplinks are spliced, and a connection parks only when
-/// its own uplink or downlink is down. A switch pair is re-run masked
-/// only when its cached Yen footprint touches a failed link; otherwise
-/// the cached paths are provably what the masked run would return (see
-/// [`netgraph::yen::k_shortest_paths_with_footprint`]), so a failure
-/// epoch costs a handful of Yen runs instead of one per server pair.
+/// with the two server uplinks spliced on. Switch-pair entries come from
+/// a shared precomputed [`SharedRouteTable`] first and from a private
+/// lazy [`RouteTable`] for pairs outside it; both store the same
+/// `(paths, Yen footprint)` entry. Failures keep the switch-pair
+/// granularity, under one reuse rule: an entry whose footprint has no
+/// failed link is spliced as is — provably what the masked run would
+/// return (see [`netgraph::yen::k_shortest_paths_with_footprint`]) —
+/// and any other entry is re-run masked, once per pair per epoch. A
+/// connection parks only when its own uplink or downlink is down, and
+/// a non-server endpoint is unroutable in every epoch.
 ///
 /// Per-epoch results are cached per server pair as interned ids — the
 /// rerouting burst after a failure computes each pair once, and later
 /// arrivals on the pair are lookups.
 #[derive(Debug)]
 pub struct MptcpProvider {
-    k: usize,
     coupled: bool,
-    backend: Backend,
+    table: Arc<SharedRouteTable>,
+    /// Lazily filled entries for switch pairs outside `table`.
+    fallback: RouteTable,
     /// Masked switch-pair path sets for the current epoch, for pairs
     /// whose Yen footprint touches a failed link.
     fail_switch: HashMap<(NodeId, NodeId), Vec<Path>>,
-    /// Slots of shared-table pairs whose footprint touches a failed
-    /// link, computed once per epoch. Affected pairs are then re-run
-    /// lazily (into `fail_switch`) only when actually routed — cheaper
-    /// than an eager [`RouteOverlay`] when a failure epoch touches few
-    /// pairs.
-    affected: Option<Vec<u32>>,
     cache: HashMap<(NodeId, NodeId), Option<RoutedConn>>,
     epoch: u64,
 }
 
 impl MptcpProvider {
     /// Provider for `k` subflows; `coupled` selects LIA-style weights.
+    /// Every switch pair is routed lazily on first use.
     pub fn new(k: usize, coupled: bool) -> Self {
-        Self::with_backend(k.max(1), coupled, Backend::Lazy(RouteTable::new(k.max(1))))
+        Self::with_shared(Arc::new(SharedRouteTable::empty(k.max(1))), coupled)
     }
 
     /// Provider over a precomputed route plane; `k` comes from the
     /// table. Pairs outside the table's domain fall back to a private
     /// lazy table with identical semantics.
     pub fn with_shared(table: Arc<SharedRouteTable>, coupled: bool) -> Self {
-        let k = table.k();
-        Self::with_backend(
-            k,
-            coupled,
-            Backend::Shared {
-                table,
-                fallback: RouteTable::new(k),
-            },
-        )
-    }
-
-    fn with_backend(k: usize, coupled: bool, backend: Backend) -> Self {
+        let fallback = RouteTable::new(table.k());
         Self {
-            k,
             coupled,
-            backend,
+            table,
+            fallback,
             fail_switch: HashMap::new(),
-            affected: None,
             cache: HashMap::new(),
             epoch: 0,
         }
@@ -208,13 +187,12 @@ impl MptcpProvider {
         if self.epoch != epoch {
             self.cache.clear();
             self.fail_switch.clear();
-            self.affected = None;
             self.epoch = epoch;
         }
     }
 
     /// The server-level path set under the current failures; empty when
-    /// the pair is parked or disconnected.
+    /// the pair is parked, disconnected or not a server pair.
     fn compute_paths(
         &mut self,
         g: &Graph,
@@ -222,69 +200,37 @@ impl MptcpProvider {
         src: NodeId,
         dst: NodeId,
     ) -> Vec<Path> {
-        if !failed.any() {
-            return match &mut self.backend {
-                Backend::Lazy(rt) => rt.server_paths(g, src, dst),
-                Backend::Shared { table, fallback } => table
-                    .server_paths(g, src, dst)
-                    .unwrap_or_else(|| fallback.server_paths(g, src, dst)),
-            };
-        }
-        let k = self.k;
-        let masked_len = |l| {
-            if failed.is_down(l) {
-                f64::INFINITY
-            } else {
-                1.0
-            }
-        };
         let (Some(si), Some(di)) = (g.server_uplink_switch(src), g.server_uplink_switch(dst))
         else {
-            // Unattached endpoint: no switch pair to route over.
-            return yen::k_shortest_paths_by(g, src, dst, k, masked_len);
+            return Vec::new();
         };
         let up = g.find_link(src, si).expect("src uplink");
         let down = g.find_link(di, dst).expect("dst downlink");
         if failed.is_down(up) || failed.is_down(down) {
-            // Park only when the pair's own uplink is dead — every
-            // server-level path must cross both uplinks.
+            // Every server-level path crosses both of the pair's own links.
             return Vec::new();
         }
         if si == di {
             return vec![ksp::rack_path(g, src, si, dst)];
         }
-        if let Backend::Shared { table, .. } = &self.backend {
-            if let Some(slot) = table.pair_slot(si, di) {
-                let affected = self
-                    .affected
-                    .get_or_insert_with(|| table.affected_slots(&failed.down_links()));
-                if affected.binary_search(&(slot as u32)).is_err() {
-                    // Footprint untouched: the precomputed paths are
-                    // bit-identical to a masked recomputation.
-                    let sp = table.switch_paths(si, di).expect("covered pair");
-                    return ksp::splice_server_pair(g, src, dst, sp);
-                }
-                let sp = self
-                    .fail_switch
-                    .entry((si, di))
-                    .or_insert_with(|| yen::k_shortest_paths_by(g, si, di, k, masked_len));
-                return ksp::splice_server_pair(g, src, dst, sp);
-            }
-        }
-        let rt = match &mut self.backend {
-            Backend::Lazy(rt) => rt,
-            Backend::Shared { fallback, .. } => fallback,
+        let (paths, footprint) = match self.table.entry(si, di) {
+            Some(entry) => entry,
+            None => self.fallback.switch_paths_with_footprint(g, si, di),
         };
-        let (base, footprint) = rt.switch_paths_with_footprint(g, si, di);
         if failed.path_alive(footprint) {
-            // No failed link anywhere in the pair's Yen footprint: the
-            // cached paths are bit-identical to a masked recomputation.
-            return ksp::splice_server_pair(g, src, dst, base);
+            // Bit-identical to a masked run: nothing Yen examined is down.
+            return ksp::splice_server_pair(g, src, dst, paths);
         }
-        let sp = self
-            .fail_switch
-            .entry((si, di))
-            .or_insert_with(|| yen::k_shortest_paths_by(g, si, di, k, masked_len));
+        let k = self.table.k();
+        let sp = self.fail_switch.entry((si, di)).or_insert_with(|| {
+            yen::k_shortest_paths_by(g, si, di, k, |l| {
+                if failed.is_down(l) {
+                    f64::INFINITY
+                } else {
+                    1.0
+                }
+            })
+        });
         ksp::splice_server_pair(g, src, dst, sp)
     }
 }
@@ -465,6 +411,72 @@ mod tests {
         );
         // The reverse direction only needs t's uplink and s's downlink.
         assert!(p.route(&g, &mut arena, &failed, &spec(1, t, s)).is_some());
+    }
+
+    #[test]
+    fn mptcp_non_server_endpoint_is_unroutable_in_every_epoch() {
+        let (g, s, _, via_x) = diamond();
+        let e1 = NodeId(1);
+        assert!(g.node(e1).kind.is_switch());
+        let mut arena = PathArena::new();
+        let mut failed = FailedLinks::new(g.link_count());
+        let mut p = MptcpProvider::new(2, true);
+        assert!(p.route(&g, &mut arena, &failed, &spec(0, s, e1)).is_none());
+        assert!(p.route(&g, &mut arena, &failed, &spec(1, e1, s)).is_none());
+        // An unrelated failure must not change the answer.
+        failed.fail(via_x);
+        assert!(p.route(&g, &mut arena, &failed, &spec(2, s, e1)).is_none());
+        assert!(p.route(&g, &mut arena, &failed, &spec(3, e1, s)).is_none());
+    }
+
+    #[test]
+    fn mptcp_reruns_only_pairs_whose_footprint_fails() {
+        use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
+        let ft = FlatTree::new(FlatTreeParams::new(topology::ClosParams::mini(), 1, 1)).unwrap();
+        let g = ft
+            .instantiate(&ModeAssignment::uniform(4, PodMode::Global))
+            .net
+            .graph;
+        let k = 4;
+        let table = Arc::new(SharedRouteTable::build(&g, k));
+        let mut server_on = HashMap::new();
+        for s in g.servers() {
+            server_on
+                .entry(g.server_uplink_switch(s).unwrap())
+                .or_insert(s);
+        }
+        let cable = g
+            .link_ids()
+            .find(|&l| {
+                let info = g.link(l);
+                g.node(info.src).kind.is_switch() && g.node(info.dst).kind.is_switch()
+            })
+            .unwrap();
+        let mut failed = FailedLinks::new(g.link_count());
+        failed.fail(cable);
+        let mut arena = PathArena::new();
+        let mut p = MptcpProvider::with_shared(Arc::clone(&table), true);
+        // One server pair per ingress pair; each answer equals a
+        // from-scratch masked run between the servers.
+        for (id, (a, b)) in SharedRouteTable::ingress_pairs(&g).into_iter().enumerate() {
+            let (src, dst) = (server_on[&a], server_on[&b]);
+            let got: Vec<Path> = p
+                .route(&g, &mut arena, &failed, &spec(id as u64, src, dst))
+                .map_or(Vec::new(), |r| {
+                    r.path_ids.iter().map(|&i| arena.get(i).clone()).collect()
+                });
+            let want = yen::k_shortest_paths_by(&g, src, dst, k, |l| {
+                if failed.is_down(l) {
+                    f64::INFINITY
+                } else {
+                    1.0
+                }
+            });
+            assert_eq!(got, want, "{a:?} -> {b:?}");
+        }
+        // Only the pairs whose footprint crosses the cable re-ran Yen.
+        assert!(!p.fail_switch.is_empty());
+        assert!(p.fail_switch.len() < table.pair_count());
     }
 
     #[test]

@@ -246,6 +246,9 @@ fn validate_inputs(g: &Graph, flows: &[FlowSpec], schedule: &[LinkEvent]) -> Res
                 node: f.src,
             });
         }
+        if let Some(&node) = [f.src, f.dst].iter().find(|n| n.idx() >= g.node_count()) {
+            return Err(SimError::UnknownEndpoint { flow: f.id, node });
+        }
     }
     for (index, ev) in schedule.iter().enumerate() {
         if !ev.time.is_finite() {
@@ -965,6 +968,28 @@ mod tests {
             simulate(&g, &self_flow, &SimConfig::default()),
             Err(SimError::SelfFlow { flow: 1, .. })
         ));
+        let outside = NodeId(g.node_count() as u32);
+        for transport in [
+            Transport::TcpEcmp,
+            Transport::Mptcp {
+                k: 4,
+                coupled: true,
+            },
+        ] {
+            let cfg = SimConfig {
+                transport,
+                ..SimConfig::default()
+            };
+            for (src, dst) in [(s[0], outside), (outside, s[0])] {
+                assert_eq!(
+                    simulate(&g, &[spec(4, src, dst, 1.0, 0.0)], &cfg).err(),
+                    Some(SimError::UnknownEndpoint {
+                        flow: 4,
+                        node: outside
+                    })
+                );
+            }
+        }
         let empty = vec![spec(2, s[0], s[1], 0.0, 0.0)];
         assert!(matches!(
             simulate(&g, &empty, &SimConfig::default()),

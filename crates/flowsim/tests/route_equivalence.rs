@@ -3,7 +3,8 @@
 //! and egress switches, splice surviving uplinks, park on a dead
 //! uplink) must yield exactly the path sets of the **server-level
 //! oracle** — a from-scratch masked Yen run per server pair — on mini
-//! topologies, for both the lazy and the shared-table backends.
+//! topologies, whether a switch pair's entry comes from the shared
+//! table or from the provider's lazy fallback.
 
 use flowsim::provider::{MptcpProvider, PathProvider};
 use flowsim::sim::FlowSpec;
@@ -61,14 +62,24 @@ fn routed_paths(
     })
 }
 
+/// Three providers per `k`: over an empty table (every switch pair from
+/// the lazy fallback), over the full table, and over a table covering
+/// every other ingress pair, so one provider serves table pairs and
+/// fallback pairs in the same failure epochs.
 #[test]
 fn provider_matches_server_level_oracle_under_random_failures() {
     let clos = ClosParams::mini().build();
     let g = &clos.net.graph;
     let servers = g.servers();
     let all_cables = cables(g);
+    let (mut in_half, mut outside_half) = (0usize, 0usize);
     for k in [4usize, 8] {
-        let table = Arc::new(SharedRouteTable::build(g, k));
+        let full = Arc::new(SharedRouteTable::build(g, k));
+        let every_other: Vec<_> = SharedRouteTable::ingress_pairs(g)
+            .into_iter()
+            .step_by(2)
+            .collect();
+        let half = Arc::new(SharedRouteTable::build_for_pairs(g, k, &every_other));
         let mut rng = ChaCha8Rng::seed_from_u64(0x5eed ^ k as u64);
         for trial in 0..6usize {
             let mut failed = FailedLinks::new(g.link_count());
@@ -80,10 +91,12 @@ fn provider_matches_server_level_oracle_under_random_failures() {
                     failed.fail(r);
                 }
             }
-            let mut lazy = MptcpProvider::new(k, true);
-            let mut shared = MptcpProvider::with_shared(table.clone(), true);
-            let mut arena_lazy = PathArena::new();
-            let mut arena_shared = PathArena::new();
+            let mut providers = [
+                ("empty", MptcpProvider::new(k, true)),
+                ("full", MptcpProvider::with_shared(full.clone(), true)),
+                ("half", MptcpProvider::with_shared(half.clone(), true)),
+            ];
+            let mut arena = PathArena::new();
             // Inter-rack, intra-rack, and random pairs.
             let mut pairs = vec![
                 (servers[0], servers[1]),
@@ -98,18 +111,24 @@ fn provider_matches_server_level_oracle_under_random_failures() {
                 }
             }
             for (id, &(src, dst)) in pairs.iter().enumerate() {
+                let si = g.server_uplink_switch(src).unwrap();
+                let di = g.server_uplink_switch(dst).unwrap();
+                if si != di {
+                    if half.contains_pair(si, di) {
+                        in_half += 1;
+                    } else {
+                        outside_half += 1;
+                    }
+                }
                 let want = oracle(g, src, dst, &failed, k);
                 let sp = spec(id as u64, src, dst);
-                let got_lazy = routed_paths(&mut lazy, g, &mut arena_lazy, &failed, &sp);
-                let got_shared = routed_paths(&mut shared, g, &mut arena_shared, &failed, &sp);
-                assert_eq!(
-                    got_lazy, want,
-                    "lazy backend diverges from the oracle (k={k}, trial={trial})"
-                );
-                assert_eq!(
-                    got_shared, want,
-                    "shared backend diverges from the oracle (k={k}, trial={trial})"
-                );
+                for (name, p) in &mut providers {
+                    assert_eq!(
+                        routed_paths(p, g, &mut arena, &failed, &sp),
+                        want,
+                        "{name} table diverges from the oracle (k={k}, trial={trial})"
+                    );
+                }
             }
             // Recovery epoch: the same providers must match a fresh
             // no-failure oracle once every link is back up.
@@ -117,16 +136,15 @@ fn provider_matches_server_level_oracle_under_random_failures() {
             let (src, dst) = (servers[0], servers[servers.len() - 1]);
             let want = oracle(g, src, dst, &failed, k);
             let sp = spec(99, src, dst);
-            assert_eq!(
-                routed_paths(&mut lazy, g, &mut arena_lazy, &failed, &sp),
-                want
-            );
-            assert_eq!(
-                routed_paths(&mut shared, g, &mut arena_shared, &failed, &sp),
-                want
-            );
+            for (name, p) in &mut providers {
+                assert_eq!(routed_paths(p, g, &mut arena, &failed, &sp), want, "{name}");
+            }
         }
     }
+    assert!(
+        in_half > 0 && outside_half > 0,
+        "{in_half} / {outside_half}"
+    );
 }
 
 #[test]

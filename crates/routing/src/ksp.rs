@@ -58,11 +58,29 @@ pub fn splice_server_pair(g: &Graph, src: NodeId, dst: NodeId, switch_paths: &[P
 
 /// One cached switch pair: the selected paths plus the Yen run's link
 /// footprint (every link any examined path used), the exact certificate
-/// for reusing the entry after link failures.
-#[derive(Debug, Clone)]
-struct PairEntry {
+/// for reusing the entry after link failures. Both [`RouteTable`] and
+/// [`crate::SharedRouteTable`] store pairs this way.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PairEntry {
     paths: Vec<Path>,
-    footprint: Vec<LinkId>,
+    /// Boxed to drop the slack Yen's deduped footprint vector keeps.
+    footprint: Box<[LinkId]>,
+}
+
+impl PairEntry {
+    /// Runs Yen between two switches and keeps its footprint.
+    pub(crate) fn compute(g: &Graph, a: NodeId, b: NodeId, k: usize) -> Self {
+        let (paths, footprint) = yen::k_shortest_paths_with_footprint(g, a, b, k);
+        Self {
+            paths,
+            footprint: footprint.into_boxed_slice(),
+        }
+    }
+
+    /// The selected paths and the footprint certifying them.
+    pub(crate) fn parts(&self) -> (&[Path], &[LinkId]) {
+        (&self.paths, &self.footprint)
+    }
 }
 
 /// A lazy k-shortest-path routing table over one network instance.
@@ -84,10 +102,10 @@ impl RouteTable {
     }
 
     fn entry(&mut self, g: &Graph, a: NodeId, b: NodeId) -> &PairEntry {
-        self.cache.entry((a, b)).or_insert_with(|| {
-            let (paths, footprint) = yen::k_shortest_paths_with_footprint(g, a, b, self.k);
-            PairEntry { paths, footprint }
-        })
+        let k = self.k;
+        self.cache
+            .entry((a, b))
+            .or_insert_with(|| PairEntry::compute(g, a, b, k))
     }
 
     /// The switch-level paths between two switches, computed on first use.
@@ -104,8 +122,7 @@ impl RouteTable {
         a: NodeId,
         b: NodeId,
     ) -> (&[Path], &[LinkId]) {
-        let e = self.entry(g, a, b);
-        (&e.paths, &e.footprint)
+        self.entry(g, a, b).parts()
     }
 
     /// The server-level paths for a (src, dst) server pair: the cached

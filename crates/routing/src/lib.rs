@@ -5,9 +5,9 @@
 //!   level and spliced with the single server uplinks, which is both the
 //!   paper's state-reduction trick and a large computational win.
 //! * [`plane`] — the shared route plane: an immutable, fully-precomputed
-//!   switch-pair table built in parallel (deterministically), with an
-//!   exact failure overlay that recomputes only the pairs a failed link
-//!   can affect.
+//!   switch-pair table built in parallel (deterministically). Each slot
+//!   keeps its Yen footprint, the exact certificate for reusing the
+//!   entry while links are down.
 //! * [`addressing`] — the flat-tree IPv4 address layout of Figure 5:
 //!   `10/8 | 13-bit switch id | 3-bit path id | 2-bit topology mode |
 //!   6-bit server id`, with per-mode address sets preconfigured on every
@@ -29,5 +29,5 @@ pub mod source_routing;
 
 pub use addressing::{AddressPlan, FlatTreeAddress, TopologyModeId};
 pub use ksp::RouteTable;
-pub use plane::{RouteOverlay, SharedRouteTable};
+pub use plane::SharedRouteTable;
 pub use rules::{Rule, RuleMatch, RuleSet, StateAnalysis};

@@ -1,5 +1,5 @@
 //! The shared route plane: a fully-precomputed, immutable switch-pair
-//! k-shortest-path table with an exact failure overlay.
+//! k-shortest-path table.
 //!
 //! [`crate::RouteTable`] fills its switch-pair cache lazily and is owned
 //! by one simulation. Experiment sweeps run many simulations over the
@@ -9,17 +9,16 @@
 //! is then shared immutably (typically behind an `Arc`) across cells,
 //! threads, and verifier passes.
 //!
-//! Failures reuse the table instead of discarding it: each pair records
-//! the link **footprint** of its Yen run (selected *and* candidate
-//! paths), and [`SharedRouteTable::overlay`] recomputes only the pairs
-//! whose footprint touches a failed link. For every other pair the
-//! precomputed paths are provably bit-identical to what a failure-aware
-//! recomputation would return (see
-//! [`netgraph::yen::k_shortest_paths_with_footprint`]), so the overlay
-//! equals a from-scratch rebuild at a small fraction of the cost.
+//! Each slot stores the same entry the lazy table caches: the selected
+//! paths plus the link **footprint** of their Yen run (selected *and*
+//! candidate paths). The table never mutates under failures. A reader
+//! reuses an entry when no footprint link is down — the paths are then
+//! provably bit-identical to a failure-aware recomputation (see
+//! [`netgraph::yen::k_shortest_paths_with_footprint`]) — and re-runs a
+//! masked Yen otherwise. `flowsim`'s `MptcpProvider` is that reader.
 
-use crate::ksp::{rack_path, splice_server_pair};
-use netgraph::{yen, Graph, LinkId, NodeId, Path};
+use crate::ksp::{rack_path, splice_server_pair, PairEntry};
+use netgraph::{Graph, LinkId, NodeId, Path};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -28,39 +27,21 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedRouteTable {
     k: usize,
-    pairs: Vec<(NodeId, NodeId)>,
-    paths: Vec<Vec<Path>>,
+    entries: Vec<PairEntry>,
     pair_index: HashMap<(NodeId, NodeId), usize>,
-    /// `LinkId::idx()` → slots of pairs whose Yen footprint uses the
-    /// link; ascending, deduped. Drives the overlay's recompute set.
-    link_pairs: Vec<Vec<u32>>,
-}
-
-/// Failure view over a [`SharedRouteTable`]: the failed-link mask plus
-/// recomputed path sets for exactly the pairs the failures can affect.
-///
-/// Callers key an overlay on their failure epoch and rebuild it when the
-/// failure set changes; the table itself never mutates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteOverlay {
-    down: Vec<bool>,
-    recomputed: HashMap<usize, Vec<Path>>,
-}
-
-impl RouteOverlay {
-    /// Whether a directed link is failed in this overlay.
-    #[inline]
-    pub fn is_down(&self, l: LinkId) -> bool {
-        self.down[l.idx()]
-    }
-
-    /// How many pairs the failure set forced to recompute (diagnostics).
-    pub fn recomputed_pairs(&self) -> usize {
-        self.recomputed.len()
-    }
 }
 
 impl SharedRouteTable {
+    /// A table covering no pairs: every lookup misses.
+    pub fn empty(k: usize) -> Self {
+        assert!(k >= 1, "k-shortest-path routing needs k >= 1");
+        Self {
+            k,
+            entries: Vec::new(),
+            pair_index: HashMap::new(),
+        }
+    }
+
     /// Every ordered pair of ingress switches (switches with at least
     /// one attached server), ascending — the full route-plane domain.
     pub fn ingress_pairs(g: &Graph) -> Vec<(NodeId, NodeId)> {
@@ -109,30 +90,14 @@ impl SharedRouteTable {
         pairs: &[(NodeId, NodeId)],
         threads: usize,
     ) -> Self {
-        assert!(k >= 1, "k-shortest-path routing needs k >= 1");
+        let mut table = Self::empty(k);
         let mut pairs: Vec<(NodeId, NodeId)> =
             pairs.iter().copied().filter(|&(a, b)| a != b).collect();
         pairs.sort_unstable();
         pairs.dedup();
-        let computed = par_map(&pairs, threads, |&(a, b)| {
-            yen::k_shortest_paths_with_footprint(g, a, b, k)
-        });
-        let mut paths = Vec::with_capacity(pairs.len());
-        let mut link_pairs: Vec<Vec<u32>> = vec![Vec::new(); g.link_count()];
-        for (slot, (ps, footprint)) in computed.into_iter().enumerate() {
-            for l in footprint {
-                link_pairs[l.idx()].push(slot as u32);
-            }
-            paths.push(ps);
-        }
-        let pair_index = pairs.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        Self {
-            k,
-            pairs,
-            paths,
-            pair_index,
-            link_pairs,
-        }
+        table.entries = par_map(&pairs, threads, |&(a, b)| PairEntry::compute(g, a, b, k));
+        table.pair_index = pairs.into_iter().zip(0..).collect();
+        table
     }
 
     /// Number of concurrent paths (k in k-shortest-path routing).
@@ -142,7 +107,7 @@ impl SharedRouteTable {
 
     /// Number of precomputed switch pairs.
     pub fn pair_count(&self) -> usize {
-        self.pairs.len()
+        self.entries.len()
     }
 
     /// Whether the table covers this ordered switch pair.
@@ -150,35 +115,18 @@ impl SharedRouteTable {
         self.pair_index.contains_key(&(a, b))
     }
 
+    /// A covered switch pair's precomputed paths and the Yen footprint
+    /// certifying them; `None` when the pair is outside the table.
+    pub fn entry(&self, a: NodeId, b: NodeId) -> Option<(&[Path], &[LinkId])> {
+        self.pair_index
+            .get(&(a, b))
+            .map(|&i| self.entries[i].parts())
+    }
+
     /// The precomputed paths for a covered switch pair; `None` when the
     /// pair is outside the table's domain.
     pub fn switch_paths(&self, a: NodeId, b: NodeId) -> Option<&[Path]> {
-        self.pair_index
-            .get(&(a, b))
-            .map(|&i| self.paths[i].as_slice())
-    }
-
-    /// The table slot of a covered ordered pair (`None` outside the
-    /// domain). Slots are stable and index into [`Self::affected_slots`].
-    pub fn pair_slot(&self, a: NodeId, b: NodeId) -> Option<usize> {
-        self.pair_index.get(&(a, b)).copied()
-    }
-
-    /// The slots of every pair whose Yen footprint touches a failed
-    /// link — exactly the pairs the failure set can change (ascending,
-    /// deduped). For every other pair the precomputed paths are provably
-    /// identical to a failure-aware recomputation. Callers that route
-    /// only a few pairs per failure epoch can recompute affected pairs
-    /// lazily with this set instead of paying for a full
-    /// [`Self::overlay`].
-    pub fn affected_slots(&self, down: &[LinkId]) -> Vec<u32> {
-        let mut affected: Vec<u32> = down
-            .iter()
-            .flat_map(|&l| self.link_pairs[l.idx()].iter().copied())
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        affected
+        self.entry(a, b).map(|(paths, _)| paths)
     }
 
     /// Server-level paths with every link up: the covered switch-pair
@@ -194,80 +142,6 @@ impl SharedRouteTable {
             return Some(vec![rack_path(g, src, si, dst)]);
         }
         let sp = self.switch_paths(si, di)?;
-        Some(splice_server_pair(g, src, dst, sp))
-    }
-
-    /// Builds the failure overlay for a failed directed-link set:
-    /// recomputes (with the failed links masked) exactly the pairs whose
-    /// Yen footprint touches a failed link, and reuses the precomputed
-    /// paths — provably unchanged — for every other pair.
-    pub fn overlay(&self, g: &Graph, down: &[LinkId]) -> RouteOverlay {
-        let mut mask = vec![false; g.link_count()];
-        for &l in down {
-            mask[l.idx()] = true;
-        }
-        let recomputed = self
-            .affected_slots(down)
-            .into_iter()
-            .map(|slot| {
-                let (a, b) = self.pairs[slot as usize];
-                let ps = yen::k_shortest_paths_by(g, a, b, self.k, |l| {
-                    if mask[l.idx()] {
-                        f64::INFINITY
-                    } else {
-                        1.0
-                    }
-                });
-                (slot as usize, ps)
-            })
-            .collect();
-        RouteOverlay {
-            down: mask,
-            recomputed,
-        }
-    }
-
-    /// The switch-pair paths under an overlay: the recomputed set for
-    /// affected pairs, the precomputed set otherwise. `None` when the
-    /// pair is outside the table's domain.
-    pub fn switch_paths_with<'a>(
-        &'a self,
-        ov: &'a RouteOverlay,
-        a: NodeId,
-        b: NodeId,
-    ) -> Option<&'a [Path]> {
-        let &i = self.pair_index.get(&(a, b))?;
-        Some(
-            ov.recomputed
-                .get(&i)
-                .map_or(self.paths[i].as_slice(), Vec::as_slice),
-        )
-    }
-
-    /// Server-level paths under an overlay. Splices the surviving
-    /// switch-pair paths; a pair whose own uplink or downlink is failed
-    /// gets `Some(vec![])` — parked, exactly as a server-level masked
-    /// search would find no route. `None` when an endpoint is unattached
-    /// or the pair's switches are outside the table.
-    pub fn server_paths_with(
-        &self,
-        g: &Graph,
-        ov: &RouteOverlay,
-        src: NodeId,
-        dst: NodeId,
-    ) -> Option<Vec<Path>> {
-        assert_ne!(src, dst, "no self-flows");
-        let si = g.server_uplink_switch(src)?;
-        let di = g.server_uplink_switch(dst)?;
-        let up = g.find_link(src, si)?;
-        let down = g.find_link(di, dst)?;
-        if ov.is_down(up) || ov.is_down(down) {
-            return Some(Vec::new());
-        }
-        if si == di {
-            return Some(vec![rack_path(g, src, si, dst)]);
-        }
-        let sp = self.switch_paths_with(ov, si, di)?;
         Some(splice_server_pair(g, src, dst, sp))
     }
 }
@@ -348,6 +222,11 @@ mod tests {
             let got = table.server_paths(&g, servers[a], servers[b]).unwrap();
             assert_eq!(got, want);
         }
+        // Each slot holds exactly the lazy table's (paths, footprint).
+        for &(a, b) in &SharedRouteTable::ingress_pairs(&g)[..8] {
+            let lazy = rt.switch_paths_with_footprint(&g, a, b);
+            assert_eq!(table.entry(a, b), Some(lazy));
+        }
     }
 
     #[test]
@@ -356,43 +235,6 @@ mod tests {
         let one = SharedRouteTable::build_with_threads(&g, 4, 1);
         for threads in [2, 3, 8] {
             assert_eq!(SharedRouteTable::build_with_threads(&g, 4, threads), one);
-        }
-    }
-
-    #[test]
-    fn overlay_recomputes_only_affected_pairs() {
-        let g = mini_global();
-        let table = SharedRouteTable::build(&g, 4);
-        let no_failures = table.overlay(&g, &[]);
-        assert_eq!(no_failures.recomputed_pairs(), 0);
-        let cable = g
-            .link_ids()
-            .find(|&l| {
-                let info = g.link(l);
-                g.node(info.src).kind.is_switch() && g.node(info.dst).kind.is_switch()
-            })
-            .unwrap();
-        let ov = table.overlay(&g, &[cable]);
-        assert!(ov.recomputed_pairs() > 0);
-        assert!(ov.recomputed_pairs() < table.pair_count());
-        assert!(ov.is_down(cable));
-        // Every pair's overlay answer equals a from-scratch masked run.
-        for &(a, b) in &table.pairs {
-            let want =
-                yen::k_shortest_paths_by(
-                    &g,
-                    a,
-                    b,
-                    4,
-                    |l| {
-                        if l == cable {
-                            f64::INFINITY
-                        } else {
-                            1.0
-                        }
-                    },
-                );
-            assert_eq!(table.switch_paths_with(&ov, a, b).unwrap(), &want[..]);
         }
     }
 
@@ -409,22 +251,5 @@ mod tests {
         let &(a, b) = all.last().unwrap();
         assert!(!table.contains_pair(a, b));
         assert!(table.switch_paths(a, b).is_none());
-    }
-
-    #[test]
-    fn parked_when_uplink_is_down() {
-        let g = mini_global();
-        let table = SharedRouteTable::build(&g, 4);
-        let servers = g.servers();
-        let (src, dst) = (servers[0], servers[40]);
-        let si = g.server_uplink_switch(src).unwrap();
-        let up = g.find_link(src, si).unwrap();
-        let ov = table.overlay(&g, &[up]);
-        assert_eq!(table.server_paths_with(&g, &ov, src, dst).unwrap(), vec![]);
-        // The reverse pair still routes: only src's uplink is down.
-        assert!(!table
-            .server_paths_with(&g, &ov, dst, src)
-            .unwrap()
-            .is_empty());
     }
 }
