@@ -57,7 +57,7 @@ fn main() {
 
     let mut add = |name: String, net: &topology::DcNetwork| {
         let g = &net.graph;
-        let apl = metrics::avg_server_path_length_sampled(g, 64).unwrap_or(f64::NAN);
+        let apl = metrics::avg_server_path_length(g).unwrap_or(f64::NAN);
         let diam = metrics::switch_diameter(g).unwrap_or(0);
         let servers_on = |kind| {
             metrics::attached_server_counts(g, kind)

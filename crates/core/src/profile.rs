@@ -10,7 +10,7 @@
 use crate::build::FlatTree;
 use crate::layout::FlatTreeParams;
 use crate::modes::{ModeAssignment, PodMode};
-use netgraph::metrics::{avg_server_path_length, avg_server_path_length_sampled};
+use netgraph::metrics::avg_server_path_length;
 use topology::ClosParams;
 
 /// Result of one profiling candidate.
@@ -36,21 +36,11 @@ pub fn profile_mn(clos: &ClosParams) -> Vec<ProfilePoint> {
     for total in 1..=budget {
         for m in 0..=total {
             let n = total - m;
-            let params = FlatTreeParams::new(*clos, m, n);
-            if params.validate().is_err() {
+            let Ok(ft) = FlatTree::new(FlatTreeParams::new(*clos, m, n)) else {
                 continue;
-            }
-            let ft = match FlatTree::new(params) {
-                Ok(f) => f,
-                Err(_) => continue,
             };
             let inst = ft.instantiate(&ModeAssignment::uniform(clos.pods, PodMode::Global));
-            let apl = if clos.total_servers() > 1024 {
-                avg_server_path_length_sampled(&inst.net.graph, 128)
-            } else {
-                avg_server_path_length(&inst.net.graph)
-            };
-            if let Some(apl) = apl {
+            if let Some(apl) = avg_server_path_length(&inst.net.graph) {
                 points.push(ProfilePoint {
                     m,
                     n,

@@ -1,23 +1,23 @@
-//! The leaf-collapsed average server path length against a BFS per
-//! server.
+//! The word-parallel switch-level average server path length against a
+//! BFS per server.
 //!
-//! `netgraph::metrics::avg_server_path_length{,_sampled}` run one BFS per
-//! source *switch* and weight it by server counts. The per-server oracle
-//! below is the original definition; the two must agree bit for bit on
-//! every topology family the repo builds, or `(m, n)` profiling would
-//! reorder its candidates.
+//! `netgraph::metrics::avg_server_path_length` runs a switch-level BFS
+//! from 64 source switches at a time and weights it by server counts.
+//! The per-server oracle below is the original definition; the two must
+//! agree bit for bit on every topology family the repo builds, or
+//! `(m, n)` profiling would reorder its candidates.
 
 use flat_tree::{profile, FlatTree, FlatTreeParams, ModeAssignment, PodMode};
-use netgraph::{dijkstra::hop_distances, metrics, Graph, NodeId};
+use netgraph::{dijkstra::hop_distances, metrics, Graph};
 use topology::{fat_tree, ClosParams, RandomGraphParams, TwoStageParams};
 
-/// Mean BFS distance from each of `sources` to every other reachable
-/// server: the per-server definition.
-fn oracle_apl(g: &Graph, sources: &[NodeId]) -> Option<f64> {
+/// Mean BFS distance over every ordered pair of reachable servers: the
+/// per-server definition.
+fn oracle_apl(g: &Graph) -> Option<f64> {
     let servers = g.servers();
     let mut total = 0usize;
     let mut pairs = 0usize;
-    for &s in sources {
+    for &s in &servers {
         let d = hop_distances(g, s);
         for &t in &servers {
             if t != s && d[t.idx()] != usize::MAX {
@@ -29,26 +29,10 @@ fn oracle_apl(g: &Graph, sources: &[NodeId]) -> Option<f64> {
     (pairs > 0).then(|| total as f64 / pairs as f64)
 }
 
-/// The sources `avg_server_path_length_sampled` strides over.
-fn sampled_sources(g: &Graph, max_sources: usize) -> Vec<NodeId> {
-    let servers = g.servers();
-    let stride = (servers.len() / max_sources.min(servers.len())).max(1);
-    servers.into_iter().step_by(stride).collect()
-}
-
 fn assert_matches_oracle(name: &str, g: &Graph) {
-    let full = metrics::avg_server_path_length(g).expect("servers");
-    let want = oracle_apl(g, &g.servers()).expect("reachable pairs");
-    assert_eq!(full.to_bits(), want.to_bits(), "{name}: full APL");
-    for max_sources in [1, 3, 7, 16, 1000] {
-        let got = metrics::avg_server_path_length_sampled(g, max_sources).expect("sources");
-        let want = oracle_apl(g, &sampled_sources(g, max_sources)).expect("pairs");
-        assert_eq!(
-            got.to_bits(),
-            want.to_bits(),
-            "{name}: sampled {max_sources}"
-        );
-    }
+    let got = metrics::avg_server_path_length(g).expect("servers");
+    let want = oracle_apl(g).expect("reachable pairs");
+    assert_eq!(got.to_bits(), want.to_bits(), "{name}");
 }
 
 fn flat_tree(clos: ClosParams) -> FlatTree {
@@ -72,6 +56,13 @@ fn fat_trees_and_every_flat_tree_mode_match() {
         let inst = ft.instantiate(&hybrid);
         assert_matches_oracle(&format!("flat-tree k={k} hybrid"), &inst.net.graph);
     }
+    // k=12: 72 edge switches of 6 servers each, one full 64-source word
+    // plus a partial one.
+    let clos = fat_tree(12);
+    assert_matches_oracle("fat-tree k=12", &clos.build().net.graph);
+    let ft = flat_tree(clos);
+    let inst = ft.instantiate(&ModeAssignment::uniform(ft.pods(), PodMode::Global));
+    assert_matches_oracle("flat-tree k=12 Global", &inst.net.graph);
 }
 
 #[test]
@@ -96,7 +87,26 @@ fn profiling_candidates_are_unchanged() {
         let ft = FlatTree::new(FlatTreeParams::new(clos, p.m, p.n)).expect("profiled");
         let inst = ft.instantiate(&ModeAssignment::uniform(clos.pods, PodMode::Global));
         let g = &inst.net.graph;
-        let want = oracle_apl(g, &g.servers()).expect("pairs");
+        let want = oracle_apl(g).expect("pairs");
         assert_eq!(p.global_apl.to_bits(), want.to_bits(), "({}, {})", p.m, p.n);
     }
+}
+
+/// Profiling is exact above 1024 servers too: a strided sample of
+/// source servers, every one in converter slot 0, picks `(1, 0)` here.
+#[test]
+fn table2_topo4_profiles_the_exact_optimum() {
+    assert_eq!(profile::best_mn(&ClosParams::topo(4)), Some((2, 5)));
+}
+
+#[test]
+fn fat_tree_k20_profiles_the_exact_optimum() {
+    let clos = fat_tree(20);
+    let points = profile::profile_mn(&clos);
+    let best = points.first().expect("profilable");
+    assert_eq!((best.m, best.n), (3, 1));
+    let ft = FlatTree::new(FlatTreeParams::new(clos, best.m, best.n)).expect("profiled");
+    let inst = ft.instantiate(&ModeAssignment::uniform(clos.pods, PodMode::Global));
+    let want = oracle_apl(&inst.net.graph).expect("pairs");
+    assert_eq!(best.global_apl.to_bits(), want.to_bits());
 }

@@ -10,110 +10,102 @@ use crate::dijkstra::hop_distances;
 use crate::graph::{Graph, NodeId, NodeKind};
 
 /// Average hop distance over all ordered server pairs (reachable pairs
-/// only). Returns `None` when there are fewer than two servers or no pair
-/// is reachable.
+/// only). Returns `None` when no pair is reachable (fewer than two
+/// servers included).
 ///
 /// Servers are single-homed leaves (FT-G005), so a pair on one switch is
-/// 2 hops apart and a pair on switches `S != T` is `d(S, T) + 2`: one
-/// switch-level BFS per source switch, weighted by server counts, gives
-/// the exact integer totals a BFS per server would.
+/// 2 hops apart and a pair on switches `S != T` is `d(S, T) + 2`. The
+/// BFS runs over switches only, 64 source switches per `u64` word: bit
+/// `i` of `seen[v]` says source `i` has reached `v`, and each level is
+/// one pull sweep over the incoming-link CSR. Sources are batched by
+/// server count `w`, so a switch `v` newly reached by `r` sources at
+/// distance `d` adds `w · r · servers(v)` pairs of `d + 2` hops. The
+/// totals stay integers, so the result is bit-identical to a BFS per
+/// server.
 pub fn avg_server_path_length(g: &Graph) -> Option<f64> {
-    let servers = g.servers();
-    if servers.len() < 2 {
-        return None;
-    }
-    leaf_collapsed_apl(g, &servers, &servers)
-}
-
-/// Like [`avg_server_path_length`] but from at most `max_sources` evenly
-/// spaced source servers — an unbiased structural sample for large
-/// networks (profiling sweeps over Table 2-sized topologies would
-/// otherwise cost minutes per candidate).
-pub fn avg_server_path_length_sampled(g: &Graph, max_sources: usize) -> Option<f64> {
-    let servers = g.servers();
-    if servers.len() < 2 || max_sources == 0 {
-        return None;
-    }
-    let stride = (servers.len() / max_sources.min(servers.len())).max(1);
-    let sources: Vec<NodeId> = servers.iter().copied().step_by(stride).collect();
-    leaf_collapsed_apl(g, &sources, &servers)
-}
-
-/// Mean hop distance from each of `sources` to every other server,
-/// computed per source *switch*.
-fn leaf_collapsed_apl(g: &Graph, sources: &[NodeId], servers: &[NodeId]) -> Option<f64> {
-    // Compact switch graph: slot per switch, CSR adjacency over slots.
     const NONE: u32 = u32::MAX;
-    let mut slot = vec![NONE; g.node_count()];
     let switches = g.switches();
+    let n = switches.len();
+    let mut slot = vec![NONE; g.node_count()];
     for (i, &sw) in switches.iter().enumerate() {
         slot[sw.idx()] = i as u32;
     }
-    let mut start = Vec::with_capacity(switches.len() + 1);
-    let mut adj = Vec::new();
-    for &u in &switches {
-        start.push(adj.len());
-        adj.extend(
-            g.neighbors(u)
+    // Incoming-link CSR, filled by counting: the switches with a link
+    // into `v` are `from[start[v]..start[v + 1]]`.
+    let links = || {
+        switches.iter().enumerate().flat_map(|(u, &sw)| {
+            g.neighbors(sw)
                 .iter()
                 .map(|&(v, _)| slot[v.idx()])
-                .filter(|&v| v != NONE),
-        );
+                .filter(|&v| v != NONE)
+                .map(move |v| (v as usize, u as u32))
+        })
+    };
+    let mut start = vec![0usize; n + 1];
+    for (v, _) in links() {
+        start[v + 1] += 1;
     }
-    start.push(adj.len());
-    // Servers (and sampled sources) per uplink switch slot; a server
-    // with no switch uplink reaches no other server.
-    let per_switch = |nodes: &[NodeId]| {
-        let mut c = vec![0usize; switches.len()];
-        for &n in nodes {
-            let sw = g.server_uplink_switch(n).map_or(NONE, |sw| slot[sw.idx()]);
-            if sw != NONE {
-                c[sw as usize] += 1;
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut from = vec![0u32; start[n]];
+    let mut fill = start.clone();
+    for (v, u) in links() {
+        from[fill[v]] = u;
+        fill[v] += 1;
+    }
+    // Servers per uplink switch; a server with no switch uplink reaches
+    // no other server.
+    let mut servers = vec![0usize; n];
+    for s in g.servers() {
+        if let Some(sw) = g.server_uplink_switch(s) {
+            if slot[sw.idx()] != NONE {
+                servers[slot[sw.idx()] as usize] += 1;
             }
         }
-        c
-    };
-    let targets = per_switch(servers);
-    let weight = per_switch(sources);
-    let homes: Vec<(usize, usize)> = targets
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > 0)
-        .map(|(s, &c)| (s, c))
-        .collect();
-    let mut dist = vec![u32::MAX; switches.len()];
-    let mut queue = Vec::with_capacity(switches.len());
+    }
+    let mut sources: Vec<u32> = (0..n as u32).filter(|&s| servers[s as usize] > 0).collect();
+    sources.sort_by_key(|&s| servers[s as usize]);
+
+    let mut seen = vec![0u64; n];
+    let mut frontier = vec![0u64; n];
+    let mut next = vec![0u64; n];
     let mut total = 0usize;
     let mut pairs = 0usize;
-    for &(s, _) in &homes {
-        let w = weight[s];
-        if w == 0 {
-            continue;
+    let batches = sources
+        .chunk_by(|&a, &b| servers[a as usize] == servers[b as usize])
+        .flat_map(|group| group.chunks(64));
+    for batch in batches {
+        let w = servers[batch[0] as usize];
+        // Same switch: each source's other servers, 2 hops each.
+        let same = batch.len() * w * (w - 1);
+        total += 2 * same;
+        pairs += same;
+        seen.fill(0);
+        frontier.fill(0);
+        for (bit, &s) in batch.iter().enumerate() {
+            seen[s as usize] = 1 << bit;
+            frontier[s as usize] = 1 << bit;
         }
-        // BFS over switches from `s`.
-        dist.fill(u32::MAX);
-        queue.clear();
-        dist[s] = 0;
-        queue.push(s as u32);
-        let mut head = 0;
-        while let Some(&u) = queue.get(head) {
-            head += 1;
-            let du = dist[u as usize];
-            for &v in &adj[start[u as usize]..start[u as usize + 1]] {
-                if dist[v as usize] == u32::MAX {
-                    dist[v as usize] = du + 1;
-                    queue.push(v);
-                }
+        for hops in 3.. {
+            let mut grew = false;
+            let mut reached = 0usize;
+            for v in 0..n {
+                let pulled = from[start[v]..start[v + 1]]
+                    .iter()
+                    .fold(0, |acc, &u| acc | frontier[u as usize]);
+                let new = pulled & !seen[v];
+                seen[v] |= new;
+                next[v] = new;
+                grew |= new != 0;
+                reached += new.count_ones() as usize * servers[v];
             }
-        }
-        for &(t, c) in &homes {
-            if dist[t] == u32::MAX {
-                continue;
+            if !grew {
+                break;
             }
-            // Same switch: the source's other servers, 2 hops each.
-            let n = w * if t == s { c - 1 } else { c };
-            total += n * (dist[t] as usize + 2);
-            pairs += n;
+            total += w * reached * hops;
+            pairs += w * reached;
+            std::mem::swap(&mut frontier, &mut next);
         }
     }
     (pairs > 0).then(|| total as f64 / pairs as f64)
@@ -216,10 +208,6 @@ mod tests {
         g.add_node(NodeKind::Server, "detached");
         let apl = avg_server_path_length(&g).unwrap();
         assert!((apl - (6.0 * 2.0 + 6.0 * 4.0) / 12.0).abs() < 1e-12);
-        // Stride 2 samples s0, s2 and the detached server: 2 + 2 + 4
-        // hops from each of s0 and s2.
-        let sampled = avg_server_path_length_sampled(&g, 2).unwrap();
-        assert!((sampled - 16.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

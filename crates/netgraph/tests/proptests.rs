@@ -4,7 +4,7 @@
 //! random extra duplex links), then check algebraic invariants of the
 //! shortest-path, Yen, and ECMP implementations.
 
-use netgraph::{dijkstra, ecmp, yen, Graph, NodeId, NodeKind};
+use netgraph::{dijkstra, ecmp, metrics, yen, Graph, NodeId, NodeKind};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -31,8 +31,65 @@ fn random_connected(n: usize, extra: usize, seed: u64) -> Graph {
     g
 }
 
+/// A random connected switch graph (see [`random_connected`]) plus a
+/// disconnected tree of `island` switches, `0..=max_servers` servers on
+/// every switch, and one server with no link at all.
+fn random_server_graph(
+    n: usize,
+    extra: usize,
+    island: usize,
+    max_servers: usize,
+    seed: u64,
+) -> Graph {
+    let mut g = random_connected(n, extra, seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(!seed);
+    let far: Vec<NodeId> = (0..island)
+        .map(|i| g.add_node(NodeKind::GenericSwitch, format!("i{i}")))
+        .collect();
+    for i in 1..island {
+        g.add_duplex_link(far[i], far[rng.gen_range(0..i)], 10.0);
+    }
+    for sw in g.switches() {
+        for j in 0..rng.gen_range(0..=max_servers) {
+            let s = g.add_node(NodeKind::Server, format!("s{}.{j}", sw.0));
+            g.add_duplex_link(s, sw, 10.0);
+        }
+    }
+    g.add_node(NodeKind::Server, "detached");
+    g
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The word-parallel switch-level APL equals the mean over every
+    /// ordered pair of reachable servers of a BFS per server, bit for
+    /// bit. With `max_servers` 1, up to 160 switches put more than 64
+    /// equal-weight sources in one batch.
+    #[test]
+    fn apl_matches_per_server_bfs(
+        n in 1usize..160,
+        extra in 0usize..40,
+        island in 0usize..6,
+        max_servers in 1usize..=5,
+        seed in any::<u64>(),
+    ) {
+        let g = random_server_graph(n, extra, island, max_servers, seed);
+        let servers = g.servers();
+        let (mut total, mut pairs) = (0usize, 0usize);
+        for &s in &servers {
+            let d = dijkstra::hop_distances(&g, s);
+            for &t in &servers {
+                if t != s && d[t.idx()] != usize::MAX {
+                    total += d[t.idx()];
+                    pairs += 1;
+                }
+            }
+        }
+        let want = (pairs > 0).then(|| total as f64 / pairs as f64);
+        let got = metrics::avg_server_path_length(&g);
+        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+    }
 
     /// Yen paths are simple, sorted by length, distinct, and the first one
     /// matches Dijkstra's shortest path length.
