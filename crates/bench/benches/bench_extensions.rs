@@ -6,7 +6,7 @@ use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
 use ft_bench::experiments::{common, hybrid};
 use ft_bench::Scale;
 use netgraph::yen;
-use topology::ClosParams;
+use topology::{fat_tree, ClosParams};
 
 fn bench(c: &mut Criterion) {
     // Resilience kernel: masked k-shortest-path recomputation.
@@ -32,6 +32,11 @@ fn bench(c: &mut Criterion) {
     // Profiling sweep (the §3.4 knob) on the mini layout.
     c.bench_function("extensions/profile_mn_mini", |b| {
         b.iter(|| flat_tree::profile::profile_mn(&ClosParams::mini()).len());
+    });
+    // The same sweep at k=16: 320 switches, so the path-length kernel
+    // runs more than one 64-source word per candidate.
+    c.bench_function("extensions/profile_mn_k16", |b| {
+        b.iter(|| flat_tree::profile::profile_mn(&fat_tree(16)).len());
     });
 
     // Failure-injection instantiation.

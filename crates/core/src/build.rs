@@ -7,11 +7,10 @@
 //! modes** — exactly the §4.2.1 requirement that switch IDs survive
 //! topology conversion. Only the link set changes.
 
-use crate::converter::{Blade, ConverterConfig, CoreAttachment, ServerAttachment};
-use crate::interpod::{pair_links, SideEnd};
+use crate::cables::{for_each_cable, Cable};
+use crate::converter::ConverterConfig;
 use crate::layout::{FlatTreeParams, Layout};
 use crate::modes::{configs_for, ModeAssignment};
-use crate::wiring::{core_of, ConnectorRole};
 use netgraph::{Graph, NodeId, NodeKind};
 use std::collections::BTreeMap;
 use topology::DcNetwork;
@@ -87,9 +86,7 @@ impl FlatTree {
         assignment: &ModeAssignment,
         overrides: &[(usize, ConverterConfig)],
     ) -> FlatTreeInstance {
-        let p = &self.layout.params;
-        let clos = &p.clos;
-        let gs = clos.h_over_r();
+        let clos = &self.layout.params.clos;
         let mut configs = configs_for(&self.layout, assignment);
         for &(id, cfg) in overrides {
             let conv = &self.layout.converters[id];
@@ -106,6 +103,8 @@ impl FlatTree {
         let cores: Vec<NodeId> = (0..clos.num_cores)
             .map(|c| g.add_node(NodeKind::CoreSwitch, format!("core{c}")))
             .collect();
+        // Switch node ids in the dense order the cable plan numbers them.
+        let mut switches = cores.clone();
         let mut pod_edges = Vec::with_capacity(clos.pods);
         let mut pod_aggs = Vec::with_capacity(clos.pods);
         let mut edge_servers: Vec<Vec<NodeId>> = Vec::new();
@@ -117,6 +116,8 @@ impl FlatTree {
             let aggs: Vec<NodeId> = (0..clos.aggs_per_pod)
                 .map(|i| g.add_node(NodeKind::AggSwitch, format!("pod{pod}/agg{i}")))
                 .collect();
+            switches.extend(&edges);
+            switches.extend(&aggs);
             let mut in_pod = Vec::new();
             for j in 0..clos.edges_per_pod {
                 let mut on_edge = Vec::with_capacity(clos.servers_per_edge);
@@ -136,78 +137,16 @@ impl FlatTree {
         // Switch-switch cables aggregate into capacity; server cables are
         // singular (one NIC each).
         let mut mult: BTreeMap<(NodeId, NodeId), usize> = BTreeMap::new();
-        let mut bump = |a: NodeId, b: NodeId| {
-            let key = if a <= b { (a, b) } else { (b, a) };
-            *mult.entry(key).or_insert(0) += 1;
-        };
         let mut server_links: Vec<(NodeId, NodeId)> = Vec::new();
-
-        let per_pair = clos.edge_uplinks / clos.aggs_per_pod;
-        for pod in 0..clos.pods {
-            for j in 0..clos.edges_per_pod {
-                let e = pod_edges[pod][j];
-                let a = pod_aggs[pod][j / clos.r()];
-                // Fixed servers (not spliced by any converter).
-                for &srv in &edge_servers[pod * clos.edges_per_pod + j][p.m + p.n..] {
-                    server_links.push((srv, e));
-                }
-                // Edge-agg fabric is untouched by conversion.
-                for &agg in pod_aggs[pod].iter().take(clos.aggs_per_pod) {
-                    for _ in 0..per_pair {
-                        bump(e, agg);
-                    }
-                }
-                // Direct (converter-free) aggregation core connectors.
-                for t in 0..gs - p.m - p.n {
-                    let c = cores[core_of(p, p.wiring, pod, j, ConnectorRole::Agg(t))];
-                    bump(a, c);
-                }
+        for_each_cable(&self.layout, &configs, |cable| match cable {
+            Cable::Server { edge, slot, switch } => {
+                server_links.push((edge_servers[edge][slot], switches[switch]));
             }
-        }
-
-        // Converter-driven links.
-        for conv in &self.layout.converters {
-            let cfg = configs[conv.id];
-            let e = pod_edges[conv.pod][conv.edge];
-            let a = pod_aggs[conv.pod][conv.agg];
-            let c = cores[conv.core];
-            let s = edge_servers[conv.pod * clos.edges_per_pod + conv.edge][conv.server_slot];
-            match cfg.server_attachment() {
-                ServerAttachment::Edge => server_links.push((s, e)),
-                ServerAttachment::Agg => server_links.push((s, a)),
-                ServerAttachment::Core => server_links.push((s, c)),
+            Cable::Switch(a, b) => {
+                let (a, b) = (switches[a], switches[b]);
+                *mult.entry((a.min(b), a.max(b))).or_insert(0) += 1;
             }
-            match cfg.core_attachment() {
-                CoreAttachment::Agg => bump(a, c),
-                CoreAttachment::Edge => bump(e, c),
-                CoreAttachment::Server => {} // covered by the server cable
-            }
-            debug_assert!(
-                cfg.valid_for(conv.blade.kind()),
-                "invalid config for blade {:?}",
-                conv.blade
-            );
-        }
-
-        // Inter-pod side bundles (blade B only).
-        for (right_id, left_id) in self.layout.side_pairs() {
-            let right = &self.layout.converters[right_id];
-            let left = &self.layout.converters[left_id];
-            debug_assert_eq!(right.blade, Blade::B);
-            debug_assert_eq!(left.blade, Blade::B);
-            for (r_end, l_end) in pair_links(configs[right_id], configs[left_id]) {
-                let r_node = match r_end {
-                    SideEnd::Edge => pod_edges[right.pod][right.edge],
-                    SideEnd::Agg => pod_aggs[right.pod][right.agg],
-                };
-                let l_node = match l_end {
-                    SideEnd::Edge => pod_edges[left.pod][left.edge],
-                    SideEnd::Agg => pod_aggs[left.pod][left.agg],
-                };
-                bump(r_node, l_node);
-            }
-        }
-
+        });
         for (s, sw) in server_links {
             g.add_duplex_link(s, sw, clos.link_gbps);
         }
@@ -225,11 +164,11 @@ impl FlatTree {
             aggs: pod_aggs.iter().flatten().copied().collect(),
             cores: cores.clone(),
         };
-        if overrides.is_empty() {
-            if let Err(e) = net.validate() {
-                debug_assert!(false, "flat-tree instance invalid: {e}");
-            }
-        }
+        debug_assert!(
+            !overrides.is_empty() || net.validate().is_ok(),
+            "flat-tree instance invalid: {:?}",
+            net.validate()
+        );
         let inst = FlatTreeInstance {
             net,
             assignment: assignment.clone(),

@@ -24,18 +24,18 @@ pub fn side_peer_column(row: usize, col_left: usize, cols_per_side: usize) -> us
 pub fn pair_links(
     right_cfg: crate::ConverterConfig,
     left_cfg: crate::ConverterConfig,
-) -> Vec<(SideEnd, SideEnd)> {
+) -> &'static [(SideEnd, SideEnd)] {
     use crate::ConverterConfig as C;
     match (right_cfg, left_cfg) {
         // Peer-wise: E–E′ and A–A′.
-        (C::Side, C::Side) => vec![(SideEnd::Edge, SideEnd::Edge), (SideEnd::Agg, SideEnd::Agg)],
+        (C::Side, C::Side) => &[(SideEnd::Edge, SideEnd::Edge), (SideEnd::Agg, SideEnd::Agg)],
         // Crossed: E–A′ and A–E′.
-        (C::Cross, C::Cross) => vec![(SideEnd::Edge, SideEnd::Agg), (SideEnd::Agg, SideEnd::Edge)],
+        (C::Cross, C::Cross) => &[(SideEnd::Edge, SideEnd::Agg), (SideEnd::Agg, SideEnd::Edge)],
         // A mixed side/cross pair would still form circuits in hardware,
         // but the architecture never programs it (row parity is shared by
         // both ends); in hybrid mode a side-active converter may face a
         // default/local peer, in which case the bundle stays dark.
-        _ => Vec::new(),
+        _ => &[],
     }
 }
 

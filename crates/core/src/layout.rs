@@ -211,51 +211,52 @@ impl Layout {
         Ok(Layout { params, converters })
     }
 
-    /// Finds the blade-B converter at `(pod, side, row, col)`.
+    /// Finds the blade-B converter at `(pod, side, row, col)`: its id
+    /// follows from the converter order,
+    /// `((pod · 2 + side) · d/2 + col) · (m + n) + row`.
     /// Panics if out of range — internal wiring code only.
     pub fn blade_b(&self, pod: usize, side: PodSide, row: usize, col: usize) -> &ConverterInfo {
-        self.converters
-            .iter()
-            .find(|c| {
-                c.pod == pod
-                    && c.side == side
-                    && c.blade == Blade::B
-                    && c.row == row
-                    && c.col == col
-            })
-            .expect("blade-B converter out of range")
+        let p = &self.params;
+        let half = p.cols_per_side();
+        assert!(
+            pod < p.clos.pods && row < p.m && col < half,
+            "blade-B converter out of range"
+        );
+        let s = match side {
+            PodSide::Left => 0,
+            PodSide::Right => 1,
+        };
+        let conv = &self.converters[((pod * 2 + s) * half + col) * (p.m + p.n) + row];
+        debug_assert!(
+            conv.blade == Blade::B
+                && (conv.pod, conv.side, conv.row, conv.col) == (pod, side, row, col),
+            "converter order broken at {conv:?}"
+        );
+        conv
     }
 
     /// All inter-pod side pairs `(right converter id, left converter id)`,
     /// i.e. (pod p right blade B) ↔ (pod p+1 left blade B), following the
     /// §3.3 shifting pattern. See [`interpod::side_peer_column`].
-    pub fn side_pairs(&self) -> Vec<(usize, usize)> {
+    pub fn side_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let p = &self.params;
+        let pods = p.clos.pods;
         let half = p.cols_per_side();
-        let mut pairs = Vec::new();
-        if p.m == 0 || half == 0 {
-            return pairs;
-        }
-        let last_pod = p.clos.pods - 1;
-        for pod in 0..p.clos.pods {
-            let next = if pod == last_pod {
-                if !p.wrap_side_links {
-                    break;
-                }
-                0
-            } else {
-                pod + 1
-            };
-            for row in 0..p.m {
-                for col_left in 0..half {
+        let boundaries = if p.wrap_side_links {
+            pods
+        } else {
+            pods.saturating_sub(1)
+        };
+        (0..boundaries).flat_map(move |pod| {
+            (0..p.m).flat_map(move |row| {
+                (0..half).map(move |col_left| {
                     let col_right = interpod::side_peer_column(row, col_left, half);
                     let right = self.blade_b(pod, PodSide::Right, row, col_right);
-                    let left = self.blade_b(next, PodSide::Left, row, col_left);
-                    pairs.push((right.id, left.id));
-                }
-            }
-        }
-        pairs
+                    let left = self.blade_b((pod + 1) % pods, PodSide::Left, row, col_left);
+                    (right.id, left.id)
+                })
+            })
+        })
     }
 
     /// The §3.3 row-parity rule: the configuration a blade-B converter
@@ -321,7 +322,7 @@ mod tests {
     #[test]
     fn side_pairs_cover_all_blade_b_once_with_wrap() {
         let l = layout();
-        let pairs = l.side_pairs();
+        let pairs: Vec<_> = l.side_pairs().collect();
         // 4 pod boundaries (ring) * m=1 * d/2=2 columns = 8 pairs.
         assert_eq!(pairs.len(), 8);
         let mut used = std::collections::HashSet::new();
@@ -341,7 +342,34 @@ mod tests {
         let mut p = FlatTreeParams::new(ClosParams::mini(), 1, 1);
         p.wrap_side_links = false;
         let l = Layout::new(p).unwrap();
-        assert_eq!(l.side_pairs().len(), 6); // 3 boundaries * 2 columns
+        assert_eq!(l.side_pairs().count(), 6); // 3 boundaries * 2 columns
+    }
+
+    #[test]
+    fn blade_b_lookup_matches_the_inventory() {
+        let clos_params = [
+            (ClosParams::mini(), 1, 1),
+            (ClosParams::mini(), 2, 1),
+            (topology::fat_tree(8), 2, 1),
+            (topology::fat_tree(12), 2, 3),
+            (topology::fat_tree(12), 3, 0),
+        ];
+        for (clos, m, n) in clos_params {
+            for wrap in [true, false] {
+                let mut p = FlatTreeParams::new(clos, m, n);
+                p.wrap_side_links = wrap;
+                let l = Layout::new(p).unwrap();
+                for c in l.converters.iter().filter(|c| c.blade == Blade::B) {
+                    assert_eq!(l.blade_b(c.pod, c.side, c.row, c.col).id, c.id, "{c:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "blade-B converter out of range")]
+    fn blade_b_lookup_rejects_blade_a_rows() {
+        layout().blade_b(0, PodSide::Left, 1, 0);
     }
 
     #[test]

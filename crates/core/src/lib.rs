@@ -43,6 +43,7 @@
 //! ```
 
 pub mod build;
+mod cables;
 pub mod converter;
 pub mod interpod;
 pub mod invariants;

@@ -7,10 +7,10 @@
 //! Section 3.2, vary m and n until they result in the shortest average
 //! path length over all server pairs."
 
-use crate::build::FlatTree;
-use crate::layout::FlatTreeParams;
-use crate::modes::{ModeAssignment, PodMode};
-use netgraph::metrics::avg_server_path_length;
+use crate::cables::{for_each_cable, Cable, Switches};
+use crate::layout::{FlatTreeParams, Layout};
+use crate::modes::{configs_for, ModeAssignment, PodMode};
+use netgraph::metrics::{SwitchView, Wire};
 use topology::ClosParams;
 
 /// Result of one profiling candidate.
@@ -30,17 +30,22 @@ pub struct ProfilePoint {
 /// the richer core).
 ///
 /// Feasibility: `m + n <= min(servers_per_edge, h/r)` and `m + n >= 1`.
+/// Each candidate is scored from its layout's cable plan, the one
+/// [`FlatTree::instantiate`](crate::FlatTree::instantiate) builds from,
+/// without building a graph; one [`SwitchView`] serves every candidate.
 pub fn profile_mn(clos: &ClosParams) -> Vec<ProfilePoint> {
     let budget = clos.servers_per_edge.min(clos.h_over_r());
+    let global = ModeAssignment::uniform(clos.pods, PodMode::Global);
+    let mut view = SwitchView::default();
     let mut points = Vec::new();
     for total in 1..=budget {
         for m in 0..=total {
             let n = total - m;
-            let Ok(ft) = FlatTree::new(FlatTreeParams::new(*clos, m, n)) else {
+            let Ok(layout) = Layout::new(FlatTreeParams::new(*clos, m, n)) else {
                 continue;
             };
-            let inst = ft.instantiate(&ModeAssignment::uniform(clos.pods, PodMode::Global));
-            if let Some(apl) = avg_server_path_length(&inst.net.graph) {
+            fill_view(&layout, &global, &mut view);
+            if let Some(apl) = view.avg_server_path_length() {
                 points.push(ProfilePoint {
                     m,
                     n,
@@ -57,6 +62,22 @@ pub fn profile_mn(clos: &ClosParams) -> Vec<ProfilePoint> {
     points
 }
 
+/// Refills `view` with the switch-level view of `layout` under
+/// `assignment`: every switch–switch cable as a link each way, every
+/// server on the switch it plugs into.
+fn fill_view(layout: &Layout, assignment: &ModeAssignment, view: &mut SwitchView) {
+    let configs = configs_for(layout, assignment);
+    view.rebuild(Switches::new(&layout.params.clos).count(), |wire| {
+        for_each_cable(layout, &configs, |cable| match cable {
+            Cable::Server { switch, .. } => wire(Wire::Server { switch }),
+            Cable::Switch(a, b) => {
+                wire(Wire::Link { from: a, to: b });
+                wire(Wire::Link { from: b, to: a });
+            }
+        });
+    });
+}
+
 /// The best `(m, n)` per §3.4's criterion.
 pub fn best_mn(clos: &ClosParams) -> Option<(usize, usize)> {
     profile_mn(clos).first().map(|p| (p.m, p.n))
@@ -65,6 +86,12 @@ pub fn best_mn(clos: &ClosParams) -> Option<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wiring::{core_of, ConnectorRole};
+    use crate::{invariants, FlatTree, WiringPattern};
+    use netgraph::metrics::avg_server_path_length;
+    use netgraph::NodeId;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn sweep_covers_feasible_grid() {
@@ -100,5 +127,143 @@ mod tests {
         // hierarchy.
         let pts = profile_mn(&ClosParams::mini());
         assert!(pts[0].m >= 1, "best point {pts:?}");
+    }
+
+    /// Fat-tree-like Clos networks of radix `k`: with `r = 1` the fat-tree
+    /// itself, with `r = 2` twice the edges, each pod-core pair doubled.
+    /// Edges may carry extra servers beyond the fat-tree's `k/2`.
+    fn clos_params() -> impl Strategy<Value = ClosParams> {
+        (
+            prop::sample::select(vec![4usize, 6, 8, 12]),
+            prop::bool::ANY,
+            0usize..3,
+        )
+            .prop_filter_map("odd edges per pod", |(k, r2, extra)| {
+                let fat = topology::fat_tree(k);
+                let clos = if r2 {
+                    ClosParams {
+                        edges_per_pod: k,
+                        agg_uplinks: k,
+                        ..fat
+                    }
+                } else {
+                    fat
+                };
+                let clos = ClosParams {
+                    servers_per_edge: k / 2 + extra,
+                    ..clos
+                };
+                (clos.validate().is_ok() && clos.edges_per_pod.is_multiple_of(2)).then_some(clos)
+            })
+    }
+
+    /// Every valid flat-tree over `clos` under both wiring patterns, with
+    /// the side links closed into a ring iff `wrap`.
+    fn flat_trees(clos: ClosParams, wrap: bool) -> Vec<FlatTree> {
+        let budget = clos.servers_per_edge.min(clos.h_over_r());
+        let mut out = Vec::new();
+        for total in 1..=budget {
+            for m in 0..=total {
+                for wiring in [WiringPattern::Pattern1, WiringPattern::Pattern2] {
+                    let mut p = FlatTreeParams::new(clos, m, total - m);
+                    p.wiring = wiring;
+                    p.wrap_side_links = wrap;
+                    out.extend(FlatTree::new(p));
+                }
+            }
+        }
+        out
+    }
+
+    /// Cable count per `(pod, agg, core)`.
+    type AggCore = BTreeMap<(usize, usize, usize), usize>;
+
+    /// Agg–core cables per `(pod, agg, core)` of the Clos-mode instance,
+    /// against the §3.2 wiring restated from `core_of` alone: with every
+    /// converter `default`, each of edge `j`'s `h/r` core connectors,
+    /// whatever its role, runs from agg `j / r` to its core.
+    fn clos_mode_agg_core(ft: &FlatTree) -> (AggCore, AggCore) {
+        let p = ft.params();
+        let clos = &p.clos;
+        let inst = ft.instantiate(&ModeAssignment::uniform(clos.pods, PodMode::Clos));
+        let g = &inst.net.graph;
+        let core_index: BTreeMap<NodeId, usize> = inst
+            .cores
+            .iter()
+            .enumerate()
+            .map(|(c, &node)| (node, c))
+            .collect();
+        let mut got = BTreeMap::new();
+        for (pod, aggs) in inst.pod_aggs.iter().enumerate() {
+            for (i, &agg) in aggs.iter().enumerate() {
+                for &(v, l) in g.neighbors(agg) {
+                    if let Some(&c) = core_index.get(&v) {
+                        let cables = (g.link(l).capacity_gbps / clos.link_gbps).round() as usize;
+                        *got.entry((pod, i, c)).or_insert(0) += cables;
+                    }
+                }
+            }
+        }
+        let mut want = BTreeMap::new();
+        for pod in 0..clos.pods {
+            for j in 0..clos.edges_per_pod {
+                let roles = (0..p.m)
+                    .map(ConnectorRole::BladeB)
+                    .chain((0..p.n).map(ConnectorRole::BladeA))
+                    .chain((0..clos.h_over_r() - p.m - p.n).map(ConnectorRole::Agg));
+                for role in roles {
+                    let c = core_of(p, p.wiring, pod, j, role);
+                    *want.entry((pod, j / clos.r(), c)).or_insert(0) += 1;
+                }
+            }
+        }
+        (got, want)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The view filled from the cable plan is the instantiated
+        /// graph's view: the same servers per switch and the same
+        /// switch adjacency, up to parallel links. Both sides read the
+        /// one cable plan, so the plan itself is held to rules stated
+        /// without it: the structural invariants on the global-mode
+        /// instance and the §3.2 agg–core wiring in Clos mode.
+        #[test]
+        fn layout_view_matches_instantiated_graph(clos in clos_params(), wrap in prop::bool::ANY) {
+            let global = ModeAssignment::uniform(clos.pods, PodMode::Global);
+            let mut view = SwitchView::default();
+            for ft in flat_trees(clos, wrap) {
+                let inst = ft.instantiate(&global);
+                let violations = invariants::all_violations(&ft, &inst);
+                prop_assert!(violations.is_empty(), "{:?}: {:?}", ft.params(), violations);
+                let (got, want) = clos_mode_agg_core(&ft);
+                prop_assert_eq!(got, want, "{:?}", ft.params());
+                fill_view(&ft.layout, &global, &mut view);
+                let graph = SwitchView::of_graph(&inst.net.graph);
+                prop_assert_eq!(view.servers(), graph.servers());
+                for v in 0..view.servers().len() {
+                    let links = |w: &SwitchView| {
+                        let mut from = w.incoming(v).to_vec();
+                        from.sort_unstable();
+                        from.dedup();
+                        from
+                    };
+                    prop_assert_eq!(links(&view), links(&graph), "switch {}", v);
+                }
+            }
+        }
+
+        /// Every profiled candidate scores exactly what the path-length
+        /// metric gives on its instantiated global-mode graph.
+        #[test]
+        fn profile_matches_instantiated_apl(clos in clos_params()) {
+            let global = ModeAssignment::uniform(clos.pods, PodMode::Global);
+            for pt in profile_mn(&clos) {
+                let ft = FlatTree::new(FlatTreeParams::new(clos, pt.m, pt.n)).unwrap();
+                let want = avg_server_path_length(&ft.instantiate(&global).net.graph).unwrap();
+                prop_assert_eq!(pt.global_apl.to_bits(), want.to_bits(), "{:?}", pt);
+            }
+        }
     }
 }

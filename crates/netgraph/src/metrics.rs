@@ -13,57 +13,135 @@ use crate::graph::{Graph, NodeId, NodeKind};
 /// only). Returns `None` when no pair is reachable (fewer than two
 /// servers included).
 ///
-/// Servers are single-homed leaves (FT-G005), so a pair on one switch is
-/// 2 hops apart and a pair on switches `S != T` is `d(S, T) + 2`. The
-/// BFS runs over switches only, 64 source switches per `u64` word: bit
-/// `i` of `seen[v]` says source `i` has reached `v`, and each level is
-/// one pull sweep over the incoming-link CSR. Sources are batched by
-/// server count `w`, so a switch `v` newly reached by `r` sources at
-/// distance `d` adds `w · r · servers(v)` pairs of `d + 2` hops. The
-/// totals stay integers, so the result is bit-identical to a BFS per
-/// server.
+/// Servers are single-homed leaves (FT-G005), so only the switch-level
+/// [`SwitchView`] matters: a pair on one switch is 2 hops apart and a pair
+/// on switches `S != T` is `d(S, T) + 2`.
 pub fn avg_server_path_length(g: &Graph) -> Option<f64> {
-    const NONE: u32 = u32::MAX;
-    let switches = g.switches();
-    let n = switches.len();
-    let mut slot = vec![NONE; g.node_count()];
-    for (i, &sw) in switches.iter().enumerate() {
-        slot[sw.idx()] = i as u32;
-    }
-    // Incoming-link CSR, filled by counting: the switches with a link
-    // into `v` are `from[start[v]..start[v + 1]]`.
-    let links = || {
-        switches.iter().enumerate().flat_map(|(u, &sw)| {
-            g.neighbors(sw)
-                .iter()
-                .map(|&(v, _)| slot[v.idx()])
-                .filter(|&v| v != NONE)
-                .map(move |v| (v as usize, u as u32))
-        })
-    };
-    let mut start = vec![0usize; n + 1];
-    for (v, _) in links() {
-        start[v + 1] += 1;
-    }
-    for v in 0..n {
-        start[v + 1] += start[v];
-    }
-    let mut from = vec![0u32; start[n]];
-    let mut fill = start.clone();
-    for (v, u) in links() {
-        from[fill[v]] = u;
-        fill[v] += 1;
-    }
-    // Servers per uplink switch; a server with no switch uplink reaches
-    // no other server.
-    let mut servers = vec![0usize; n];
-    for s in g.servers() {
-        if let Some(sw) = g.server_uplink_switch(s) {
-            if slot[sw.idx()] != NONE {
-                servers[slot[sw.idx()] as usize] += 1;
-            }
+    SwitchView::of_graph(g).avg_server_path_length()
+}
+
+/// The switch-level input of the path-length kernel: an incoming-link
+/// CSR over dense switch indices `0..n` plus the server count of each
+/// switch. [`SwitchView::rebuild`] reuses the buffers, so a caller
+/// scoring many candidate topologies allocates them once.
+#[derive(Debug, Clone, Default)]
+pub struct SwitchView {
+    /// The switches with a link into `v` are `from[start[v]..start[v + 1]]`.
+    start: Vec<usize>,
+    from: Vec<u32>,
+    servers: Vec<usize>,
+}
+
+/// One wire fed to [`SwitchView::rebuild`].
+#[derive(Debug, Clone, Copy)]
+pub enum Wire {
+    /// A directed link from switch `from` into switch `to`.
+    Link {
+        /// Tail switch.
+        from: usize,
+        /// Head switch.
+        to: usize,
+    },
+    /// A server whose uplink is `switch`.
+    Server {
+        /// The server's uplink switch.
+        switch: usize,
+    },
+}
+
+impl SwitchView {
+    /// The view of a graph: switches numbered in node-id order, each
+    /// server counted on its uplink switch. A server with no switch
+    /// uplink reaches no other server and is left out.
+    pub fn of_graph(g: &Graph) -> Self {
+        const NONE: usize = usize::MAX;
+        let switches = g.switches();
+        let mut slot = vec![NONE; g.node_count()];
+        for (i, &sw) in switches.iter().enumerate() {
+            slot[sw.idx()] = i;
         }
+        let servers = g.servers();
+        let mut view = SwitchView::default();
+        view.rebuild(switches.len(), |wire| {
+            for (u, &sw) in switches.iter().enumerate() {
+                for &(v, _) in g.neighbors(sw) {
+                    if slot[v.idx()] != NONE {
+                        wire(Wire::Link {
+                            from: u,
+                            to: slot[v.idx()],
+                        });
+                    }
+                }
+            }
+            for &s in &servers {
+                if let Some(sw) = g.server_uplink_switch(s) {
+                    if slot[sw.idx()] != NONE {
+                        wire(Wire::Server {
+                            switch: slot[sw.idx()],
+                        });
+                    }
+                }
+            }
+        });
+        view
     }
+
+    /// Refills the view over `switches` switches. `wires` is called
+    /// twice, once to count and once to fill, and must emit the same
+    /// wires both times; parallel links may repeat.
+    pub fn rebuild(&mut self, switches: usize, mut wires: impl FnMut(&mut dyn FnMut(Wire))) {
+        let (start, from, servers) = (&mut self.start, &mut self.from, &mut self.servers);
+        start.clear();
+        start.resize(switches + 1, 0);
+        servers.clear();
+        servers.resize(switches, 0);
+        wires(&mut |wire| match wire {
+            Wire::Link { to, .. } => start[to] += 1,
+            Wire::Server { switch } => servers[switch] += 1,
+        });
+        // Prefix sums leave `start[v]` at the end of `v`'s range; filling
+        // each range back to front moves it to the range's start.
+        for v in 1..=switches {
+            start[v] += start[v - 1];
+        }
+        from.clear();
+        from.resize(start[switches], 0);
+        wires(&mut |wire| {
+            if let Wire::Link { from: u, to } = wire {
+                start[to] -= 1;
+                from[start[to]] = u as u32;
+            }
+        });
+    }
+
+    /// Servers attached to each switch.
+    pub fn servers(&self) -> &[usize] {
+        &self.servers
+    }
+
+    /// The switches with a link into `v`, one entry per parallel link.
+    pub fn incoming(&self, v: usize) -> &[u32] {
+        &self.from[self.start[v]..self.start[v + 1]]
+    }
+
+    /// Average hop distance over all ordered server pairs of the view;
+    /// see [`avg_server_path_length`].
+    ///
+    /// The BFS runs 64 source switches per `u64` word: bit `i` of
+    /// `seen[v]` says source `i` has reached `v`, and each level is one
+    /// pull sweep over the incoming-link CSR. Sources are batched by
+    /// server count `w`, so a switch `v` newly reached by `r` sources at
+    /// distance `d` adds `w · r · servers(v)` pairs of `d + 2` hops. The
+    /// totals stay integers, so the result is bit-identical to a BFS per
+    /// server.
+    pub fn avg_server_path_length(&self) -> Option<f64> {
+        word_parallel_apl(&self.start, &self.from, &self.servers)
+    }
+}
+
+/// The kernel of [`SwitchView::avg_server_path_length`].
+fn word_parallel_apl(start: &[usize], from: &[u32], servers: &[usize]) -> Option<f64> {
+    let n = servers.len();
     let mut sources: Vec<u32> = (0..n as u32).filter(|&s| servers[s as usize] > 0).collect();
     sources.sort_by_key(|&s| servers[s as usize]);
 
