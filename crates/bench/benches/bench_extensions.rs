@@ -18,10 +18,7 @@ fn bench(c: &mut Criterion) {
         .find_link(inst.pod_edges[0][0], inst.pod_aggs[0][0])
         .unwrap();
     c.bench_function("extensions/masked_ksp_reroute", |b| {
-        b.iter(|| {
-            yen::k_shortest_paths_by(g, s, d, 8, |l| if l == dead { f64::INFINITY } else { 1.0 })
-                .len()
-        });
+        b.iter(|| yen::k_shortest_paths_avoiding(g, s, d, 8, |l| l == dead).len());
     });
 
     // Hybrid zones, full pipeline at mini scale.

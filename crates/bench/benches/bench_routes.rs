@@ -45,13 +45,8 @@ impl PathProvider for ServerLevelOracle {
         if let Some(hit) = self.cache.get(&(spec.src, spec.dst)) {
             return hit.clone();
         }
-        let paths = yen::k_shortest_paths_by(g, spec.src, spec.dst, self.k, |l| {
-            if failed.is_down(l) {
-                f64::INFINITY
-            } else {
-                1.0
-            }
-        });
+        let paths =
+            yen::k_shortest_paths_avoiding(g, spec.src, spec.dst, self.k, |l| failed.is_down(l));
         let conn = (!paths.is_empty()).then(|| {
             let w = 1.0 / paths.len() as f64;
             RoutedConn {

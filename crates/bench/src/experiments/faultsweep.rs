@@ -180,14 +180,7 @@ fn min_connectivity(
         let connected = pairs
             .iter()
             .filter(|&&(s, d)| {
-                dijkstra::shortest_path_by(g, s, d, |l| {
-                    if failed.is_down(l) {
-                        f64::INFINITY
-                    } else {
-                        1.0
-                    }
-                })
-                .is_some()
+                dijkstra::shortest_path_avoiding(g, s, d, |l| failed.is_down(l)).is_some()
             })
             .count();
         min_frac = min_frac.min(connected as f64 / pairs.len() as f64);

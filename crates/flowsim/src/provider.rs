@@ -112,14 +112,8 @@ impl PathProvider for EcmpProvider {
             // Equal-cost set fully failed: any surviving path.
             None => {
                 (*self.fallback.entry((src, dst)).or_insert_with(|| {
-                    dijkstra::shortest_path_by(g, src, dst, |l| {
-                        if failed.is_down(l) {
-                            f64::INFINITY
-                        } else {
-                            1.0
-                        }
-                    })
-                    .map(|(_, p)| arena.intern(p))
+                    dijkstra::shortest_path_avoiding(g, src, dst, |l| failed.is_down(l))
+                        .map(|p| arena.intern(p))
                 }))?
             }
         };
@@ -222,15 +216,10 @@ impl MptcpProvider {
             return ksp::splice_server_pair(g, src, dst, paths);
         }
         let k = self.table.k();
-        let sp = self.fail_switch.entry((si, di)).or_insert_with(|| {
-            yen::k_shortest_paths_by(g, si, di, k, |l| {
-                if failed.is_down(l) {
-                    f64::INFINITY
-                } else {
-                    1.0
-                }
-            })
-        });
+        let sp = self
+            .fail_switch
+            .entry((si, di))
+            .or_insert_with(|| yen::k_shortest_paths_avoiding(g, si, di, k, |l| failed.is_down(l)));
         ksp::splice_server_pair(g, src, dst, sp)
     }
 }
@@ -465,13 +454,7 @@ mod tests {
                 .map_or(Vec::new(), |r| {
                     r.path_ids.iter().map(|&i| arena.get(i).clone()).collect()
                 });
-            let want = yen::k_shortest_paths_by(&g, src, dst, k, |l| {
-                if failed.is_down(l) {
-                    f64::INFINITY
-                } else {
-                    1.0
-                }
-            });
+            let want = yen::k_shortest_paths_avoiding(&g, src, dst, k, |l| failed.is_down(l));
             assert_eq!(got, want, "{a:?} -> {b:?}");
         }
         // Only the pairs whose footprint crosses the cable re-ran Yen.

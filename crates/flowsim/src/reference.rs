@@ -108,14 +108,9 @@ pub fn simulate_reference(
                     Some(p) => p.clone(),
                     None => {
                         // Equal-cost set fully failed: any surviving path.
-                        netgraph::dijkstra::shortest_path_by(g, spec.src, spec.dst, |l| {
-                            if failed.contains(&l.idx()) {
-                                f64::INFINITY
-                            } else {
-                                1.0
-                            }
-                        })
-                        .map(|(_, p)| p)?
+                        netgraph::dijkstra::shortest_path_avoiding(g, spec.src, spec.dst, |l| {
+                            failed.contains(&l.idx())
+                        })?
                     }
                 };
                 Some(ConnPaths {
@@ -127,12 +122,8 @@ pub fn simulate_reference(
                 let paths: Vec<netgraph::Path> = if failed.is_empty() {
                     rt.server_paths(g, spec.src, spec.dst)
                 } else {
-                    yen::k_shortest_paths_by(g, spec.src, spec.dst, k, |l| {
-                        if failed.contains(&l.idx()) {
-                            f64::INFINITY
-                        } else {
-                            1.0
-                        }
+                    yen::k_shortest_paths_avoiding(g, spec.src, spec.dst, k, |l| {
+                        failed.contains(&l.idx())
                     })
                 };
                 if paths.is_empty() {

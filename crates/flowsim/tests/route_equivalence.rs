@@ -31,13 +31,7 @@ fn cables(g: &Graph) -> Vec<LinkId> {
 
 /// The server-level oracle: a fresh masked Yen run between the servers.
 fn oracle(g: &Graph, src: NodeId, dst: NodeId, failed: &FailedLinks, k: usize) -> Vec<Path> {
-    yen::k_shortest_paths_by(g, src, dst, k, |l| {
-        if failed.is_down(l) {
-            f64::INFINITY
-        } else {
-            1.0
-        }
-    })
+    yen::k_shortest_paths_avoiding(g, src, dst, k, |l| failed.is_down(l))
 }
 
 fn spec(id: u64, src: NodeId, dst: NodeId) -> FlowSpec {

@@ -10,7 +10,7 @@
 //! qualitative LP-average behaviour the paper reports in Figure 7.
 
 use crate::Commodity;
-use netgraph::dijkstra::shortest_path_by;
+use netgraph::dijkstra::{shortest_path, shortest_path_avoiding};
 use netgraph::Graph;
 
 /// Per-commodity rates of the greedy max-total allocation.
@@ -30,8 +30,7 @@ pub fn max_total_flow(g: &Graph, commodities: &[Commodity]) -> Vec<f64> {
         .iter()
         .enumerate()
         .map(|(i, c)| {
-            let len =
-                shortest_path_by(g, c.src, c.dst, |_| 1.0).map_or(usize::MAX, |(_, p)| p.len());
+            let len = shortest_path(g, c.src, c.dst).map_or(usize::MAX, |p| p.len());
             (len, i)
         })
         .collect();
@@ -41,14 +40,8 @@ pub fn max_total_flow(g: &Graph, commodities: &[Commodity]) -> Vec<f64> {
         let com = &commodities[i];
         let mut remaining = com.demand;
         while remaining > 1e-9 {
-            let found = shortest_path_by(g, com.src, com.dst, |l| {
-                if residual[l.idx()] > 1e-9 {
-                    1.0
-                } else {
-                    f64::INFINITY
-                }
-            });
-            let Some((_, path)) = found else { break };
+            let found = shortest_path_avoiding(g, com.src, com.dst, |l| residual[l.idx()] <= 1e-9);
+            let Some(path) = found else { break };
             let bottleneck = path
                 .links
                 .iter()

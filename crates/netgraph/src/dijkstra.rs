@@ -4,9 +4,10 @@
 //! All routines refuse to expand *through* non-transit nodes (servers):
 //! a server may start or terminate a path but never forward.
 //!
-//! Every Dijkstra run goes through one search state that Yen's algorithm
-//! reuses across its spur searches, blocking root nodes and removed links
-//! with boolean masks instead of per-search sets.
+//! Every hop-count path search — single paths and Yen's spur searches —
+//! runs one level-synchronous BFS over a reusable state that blocks
+//! nodes and links with boolean masks. The heap Dijkstra serves only
+//! real-valued lengths.
 
 use crate::graph::{Graph, LinkId, NodeId};
 use crate::path::Path;
@@ -37,7 +38,18 @@ pub fn hop_distances(g: &Graph, src: NodeId) -> Vec<usize> {
 /// One shortest path by hop count, ties broken toward smaller node ids
 /// (deterministic). Returns `None` if unreachable.
 pub fn shortest_path(g: &Graph, src: NodeId, dst: NodeId) -> Option<Path> {
-    shortest_path_by(g, src, dst, |_| 1.0).map(|(_, p)| p)
+    shortest_path_avoiding(g, src, dst, |_| false)
+}
+
+/// [`shortest_path`] with every link for which `down` holds removed.
+///
+/// Returns exactly the path of [`shortest_path_by`] with length 1 on
+/// live links and `f64::INFINITY` on down ones.
+pub fn shortest_path_avoiding<F>(g: &Graph, src: NodeId, dst: NodeId, down: F) -> Option<Path>
+where
+    F: Fn(LinkId) -> bool,
+{
+    Search::new(g).hop_path(g, src, dst, down)
 }
 
 /// Hop count of the shortest path, if reachable.
@@ -72,38 +84,95 @@ impl PartialOrd for HeapEntry {
 }
 
 /// Dijkstra with a custom non-negative link length. Links with
-/// non-finite length are treated as removed — this is how callers such as
-/// the MCF solver and the failure-epoch providers mask links. Returns
-/// `(total length, path)`.
+/// non-finite length are treated as removed. Returns `(total length,
+/// path)`. For hop counts use [`shortest_path_avoiding`], which returns
+/// the same path without a heap.
 ///
 /// Tie-breaking: among equal-length relaxations the predecessor with the
-/// smaller node id wins, so results are deterministic.
+/// smaller node id wins, so results are deterministic. Servers are never
+/// relaxed unless they are the destination: one could not forward, so it
+/// could never become a predecessor.
 pub fn shortest_path_by<F>(g: &Graph, src: NodeId, dst: NodeId, length: F) -> Option<(f64, Path)>
 where
     F: Fn(LinkId) -> f64,
 {
-    Search::new(g).shortest_path(g, src, dst, length)
+    let n = g.node_count();
+    let mut dist = vec![f64::INFINITY; n];
+    let mut prev: Vec<Option<(NodeId, LinkId)>> = vec![None; n];
+    let mut done = vec![false; n];
+    let mut heap = BinaryHeap::new();
+    dist[src.idx()] = 0.0;
+    heap.push(HeapEntry {
+        cost: 0.0,
+        node: src,
+    });
+    while let Some(HeapEntry { cost, node: u }) = heap.pop() {
+        if done[u.idx()] {
+            continue;
+        }
+        done[u.idx()] = true;
+        if u == dst {
+            break;
+        }
+        // Only `src`, `dst` and transit nodes are ever pushed, so `u` may
+        // be expanded.
+        for &(v, l) in g.neighbors(u) {
+            let vi = v.idx();
+            if v != dst && !g.node(v).kind.is_transit() {
+                continue;
+            }
+            let w = length(l);
+            if !w.is_finite() {
+                continue;
+            }
+            debug_assert!(w >= 0.0, "negative link length");
+            let cand = cost + w;
+            let better =
+                cand < dist[vi] || (cand == dist[vi] && prev[vi].is_some_and(|(p, _)| u < p));
+            if better && !done[vi] {
+                dist[vi] = cand;
+                prev[vi] = Some((u, l));
+                heap.push(HeapEntry {
+                    cost: cand,
+                    node: v,
+                });
+            }
+        }
+    }
+    if !dist[dst.idx()].is_finite() {
+        return None;
+    }
+    Some((dist[dst.idx()], trace_back(&prev, src, dst)?))
 }
 
-/// Reusable Dijkstra state for many searches on one graph, with node and
-/// link block masks (Yen's spur searches).
+/// The path `src → dst` along `prev` links.
+fn trace_back(prev: &[Option<(NodeId, LinkId)>], src: NodeId, dst: NodeId) -> Option<Path> {
+    let mut nodes = vec![dst];
+    let mut links = Vec::new();
+    let mut cur = dst;
+    while cur != src {
+        let (p, l) = prev[cur.idx()]?;
+        nodes.push(p);
+        links.push(l);
+        cur = p;
+    }
+    nodes.reverse();
+    links.reverse();
+    Some(Path { nodes, links })
+}
+
+/// Reusable hop-count search state for many searches on one graph, with
+/// node and link block masks (Yen's spur searches).
 ///
-/// Each search resets only the nodes the previous one touched, so after
+/// Each search resets only the nodes the previous one reached, so after
 /// construction a search costs time in the part of the graph it explores,
 /// not in `node_count`, and allocates nothing but the returned path.
-///
-/// Servers are never relaxed unless they are the destination. Relaxing
-/// one would only push it for a pop that cannot expand it, so it could
-/// never become a predecessor: skipping it leaves `dist` and `prev` of
-/// every node a path can cross, the `(cost, node id)` pop order of the
-/// other heap entries, and hence every returned path, unchanged.
 pub(crate) struct Search {
-    dist: Vec<f64>,
+    /// Hop distance from the last search's source; `u32::MAX` = unseen.
+    dist: Vec<u32>,
     prev: Vec<Option<(NodeId, LinkId)>>,
-    done: Vec<bool>,
-    /// Nodes whose `dist`/`prev`/`done` the last search set.
+    /// Nodes the last search reached, in level order: the BFS queue.
     touched: Vec<NodeId>,
-    heap: BinaryHeap<HeapEntry>,
     /// `forwards[n]`: `n` is a transit node (a switch).
     forwards: Vec<bool>,
     node_blocked: Vec<bool>,
@@ -116,11 +185,9 @@ impl Search {
     pub(crate) fn new(g: &Graph) -> Self {
         let n = g.node_count();
         Search {
-            dist: vec![f64::INFINITY; n],
+            dist: vec![u32::MAX; n],
             prev: vec![None; n],
-            done: vec![false; n],
             touched: Vec::new(),
-            heap: BinaryHeap::new(),
             forwards: g.node_ids().map(|v| g.node(v).kind.is_transit()).collect(),
             node_blocked: vec![false; n],
             link_blocked: vec![false; g.link_count()],
@@ -154,89 +221,72 @@ impl Search {
         }
     }
 
-    /// [`shortest_path_by`] under the current blocks; `src` is always
+    /// The fewest-hop path from `src` to `dst` under the current blocks,
+    /// with every link for which `down` holds removed; `src` is always
     /// allowed. `g` must be the graph the state was built for.
-    pub(crate) fn shortest_path<F>(
+    ///
+    /// Level-synchronous BFS: level `d` is expanded completely before
+    /// level `d + 1`, and the search stops after the level that reaches
+    /// `dst`. A node's predecessor is its lowest-id neighbour one level
+    /// up, through that neighbour's first link to it in adjacency order.
+    /// Dijkstra with unit lengths and `(cost, node id)` pops picks the
+    /// same predecessor: it pops every level-`d` node, in id order,
+    /// before any level-`d + 1` node, and replaces a predecessor only on
+    /// a strictly smaller id. So this returns the path of
+    /// [`shortest_path_by`] with lengths 1 and `f64::INFINITY` on down
+    /// links.
+    pub(crate) fn hop_path<F>(
         &mut self,
         g: &Graph,
         src: NodeId,
         dst: NodeId,
-        length: F,
-    ) -> Option<(f64, Path)>
+        down: F,
+    ) -> Option<Path>
     where
-        F: Fn(LinkId) -> f64,
+        F: Fn(LinkId) -> bool,
     {
         debug_assert!(
             self.dist.len() == g.node_count() && self.link_blocked.len() == g.link_count(),
             "search state built for another graph"
         );
         for n in self.touched.drain(..) {
-            self.dist[n.idx()] = f64::INFINITY;
+            self.dist[n.idx()] = u32::MAX;
             self.prev[n.idx()] = None;
-            self.done[n.idx()] = false;
         }
-        self.heap.clear();
-        self.dist[src.idx()] = 0.0;
+        self.dist[src.idx()] = 0;
         self.touched.push(src);
-        self.heap.push(HeapEntry {
-            cost: 0.0,
-            node: src,
-        });
-        while let Some(HeapEntry { cost, node: u }) = self.heap.pop() {
-            if self.done[u.idx()] {
-                continue;
-            }
-            self.done[u.idx()] = true;
-            if u == dst {
-                break;
-            }
-            // Only `src`, `dst` and forwarding nodes are ever pushed, so
-            // `u` may be expanded.
-            for &(v, l) in g.neighbors(u) {
-                let vi = v.idx();
-                if v != dst && (!self.forwards[vi] || self.node_blocked[vi]) {
-                    continue;
-                }
-                if self.link_blocked[l.idx()] {
-                    continue;
-                }
-                let w = length(l);
-                if !w.is_finite() {
-                    continue;
-                }
-                debug_assert!(w >= 0.0, "negative link length");
-                let cand = cost + w;
-                let better = cand < self.dist[vi]
-                    || (cand == self.dist[vi] && self.prev[vi].is_some_and(|(p, _)| u < p));
-                if better && !self.done[vi] {
-                    if self.dist[vi] == f64::INFINITY {
-                        self.touched.push(v);
+        let mut level = 0..1;
+        let mut d = 0;
+        while self.dist[dst.idx()] == u32::MAX && !level.is_empty() {
+            let next = self.touched.len();
+            for i in level {
+                // Levels hold only `src` and unblocked transit nodes:
+                // `dst` ends the search before its level is expanded.
+                let u = self.touched[i];
+                for &(v, l) in g.neighbors(u) {
+                    let vi = v.idx();
+                    if v != dst && (!self.forwards[vi] || self.node_blocked[vi]) {
+                        continue;
                     }
-                    self.dist[vi] = cand;
-                    self.prev[vi] = Some((u, l));
-                    self.heap.push(HeapEntry {
-                        cost: cand,
-                        node: v,
-                    });
+                    if self.link_blocked[l.idx()] || down(l) {
+                        continue;
+                    }
+                    if self.dist[vi] == u32::MAX {
+                        self.dist[vi] = d + 1;
+                        self.prev[vi] = Some((u, l));
+                        self.touched.push(v);
+                    } else if self.dist[vi] == d + 1 && self.prev[vi].is_some_and(|(p, _)| u < p) {
+                        self.prev[vi] = Some((u, l));
+                    }
                 }
             }
+            level = next..self.touched.len();
+            d += 1;
         }
-        if !self.dist[dst.idx()].is_finite() {
+        if self.dist[dst.idx()] == u32::MAX {
             return None;
         }
-        // Reconstruct.
-        let mut nodes = vec![dst];
-        let mut links = Vec::new();
-        let mut cur = dst;
-        while cur != src {
-            let (p, l) = self.prev[cur.idx()]?;
-            nodes.push(p);
-            links.push(l);
-            cur = p;
-        }
-        nodes.reverse();
-        links.reverse();
-        Some((self.dist[dst.idx()], Path { nodes, links }))
+        trace_back(&self.prev, src, dst)
     }
 }
 
@@ -299,9 +349,11 @@ mod tests {
     fn masked_links_are_removed() {
         let (g, [s, a, b, c, t]) = diamond();
         let blocked = g.find_link(a, t).unwrap();
-        let (_, p) =
-            shortest_path_by(&g, s, t, |l| if l == blocked { f64::INFINITY } else { 1.0 }).unwrap();
+        let p = shortest_path_avoiding(&g, s, t, |l| l == blocked).unwrap();
         assert_eq!(p.nodes, vec![s, b, c, t]);
+        let (_, q) =
+            shortest_path_by(&g, s, t, |l| if l == blocked { f64::INFINITY } else { 1.0 }).unwrap();
+        assert_eq!(p, q);
     }
 
     #[test]
@@ -309,13 +361,13 @@ mod tests {
         let (g, [s, a, b, c, t]) = diamond();
         let mut search = Search::new(&g);
         search.block_node(a);
-        let (_, p) = search.shortest_path(&g, s, t, |_| 1.0).unwrap();
+        let p = search.hop_path(&g, s, t, |_| false).unwrap();
         assert_eq!(p.nodes, vec![s, b, c, t]);
         // Blocks persist until cleared, and clearing restores the route.
         search.block_link(g.find_link(b, c).unwrap());
-        assert!(search.shortest_path(&g, s, t, |_| 1.0).is_none());
+        assert!(search.hop_path(&g, s, t, |_| false).is_none());
         search.unblock_all();
-        let (_, p) = search.shortest_path(&g, s, t, |_| 1.0).unwrap();
+        let p = search.hop_path(&g, s, t, |_| false).unwrap();
         assert_eq!(p.nodes, vec![s, a, t]);
     }
 
@@ -334,18 +386,18 @@ mod tests {
         }
         let (src, dst) = (hosts[0], hosts[9]);
         let mut search = Search::new(&g);
-        let (cost, p) = search.shortest_path(&g, src, dst, |_| 1.0).unwrap();
-        assert_eq!(cost, 4.0);
+        let p = search.hop_path(&g, src, dst, |_| false).unwrap();
+        assert_eq!(p.len(), 4);
         assert_eq!(p.nodes, vec![src, s, a, t, dst]);
         p.validate(&g).unwrap();
         // Blocking the switch the server hangs off cuts it off, while a
         // blocked destination is still entered.
         search.block_node(t);
-        assert!(search.shortest_path(&g, src, dst, |_| 1.0).is_none());
-        let (_, p) = search.shortest_path(&g, src, t, |_| 1.0).unwrap();
+        assert!(search.hop_path(&g, src, dst, |_| false).is_none());
+        let p = search.hop_path(&g, src, t, |_| false).unwrap();
         assert_eq!(p.nodes, vec![src, s, a, t]);
         search.unblock_all();
-        let (_, p) = search.shortest_path(&g, src, dst, |_| 1.0).unwrap();
+        let p = search.hop_path(&g, src, dst, |_| false).unwrap();
         assert_eq!(p, shortest_path_by(&g, src, dst, |_| 1.0).unwrap().1);
     }
 
@@ -384,5 +436,21 @@ mod tests {
         g.add_duplex_link(x, t, 10.0);
         let p = shortest_path(&g, s, t).unwrap();
         assert_eq!(p.nodes, vec![s, x, t]);
+    }
+
+    #[test]
+    fn parallel_links_take_the_first_in_adjacency_order() {
+        let mut g = Graph::new();
+        let s = g.add_node(NodeKind::GenericSwitch, "s");
+        let a = g.add_node(NodeKind::GenericSwitch, "a");
+        let t = g.add_node(NodeKind::GenericSwitch, "t");
+        let (first, _) = g.add_duplex_link(s, a, 10.0);
+        let (second, _) = g.add_duplex_link(s, a, 10.0);
+        g.add_duplex_link(a, t, 10.0);
+        let p = shortest_path(&g, s, t).unwrap();
+        assert_eq!(p.links[0], first);
+        assert_eq!(p, shortest_path_by(&g, s, t, |_| 1.0).unwrap().1);
+        let p = shortest_path_avoiding(&g, s, t, |l| l == first).unwrap();
+        assert_eq!(p.links[0], second);
     }
 }

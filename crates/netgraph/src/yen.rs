@@ -3,28 +3,37 @@
 //! The paper routes flat-tree global/local modes with k-shortest-path
 //! routing (§4, citing \[50\]); `routing` builds its per-pair path tables on
 //! top of this module. Paths are simple (loop-free), returned sorted by
-//! length and then lexicographically by node sequence, so the output is
-//! fully deterministic.
+//! hop count and then lexicographically by node sequence, so the output
+//! is fully deterministic. Every spur search is one level-synchronous BFS
+//! on a search state reused across the run.
 
 use crate::dijkstra::Search;
 use crate::graph::{Graph, LinkId, NodeId};
 use crate::path::Path;
+use std::cmp::Ordering;
 use std::collections::HashSet;
 
 /// k shortest loopless paths by hop count.
 pub fn k_shortest_paths(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-    k_shortest_paths_by(g, src, dst, k, |_| 1.0)
+    yen_core(g, src, dst, k, |_| false, None)
 }
 
-/// k shortest loopless paths under a custom non-negative link length.
+/// [`k_shortest_paths`] with every link for which `down` holds removed
+/// (failed links, for the failure-aware routers).
 ///
 /// Returns fewer than `k` paths when the graph does not contain that many
 /// simple paths. `src == dst` yields the empty set.
-pub fn k_shortest_paths_by<F>(g: &Graph, src: NodeId, dst: NodeId, k: usize, length: F) -> Vec<Path>
+pub fn k_shortest_paths_avoiding<F>(
+    g: &Graph,
+    src: NodeId,
+    dst: NodeId,
+    k: usize,
+    down: F,
+) -> Vec<Path>
 where
-    F: Fn(LinkId) -> f64,
+    F: Fn(LinkId) -> bool,
 {
-    yen_core(g, src, dst, k, length, None)
+    yen_core(g, src, dst, k, down, None)
 }
 
 /// [`k_shortest_paths`] plus the run's **footprint**: every link used by
@@ -34,12 +43,14 @@ where
 /// The footprint is the exact reuse certificate for route caches: if no
 /// footprint link is removed from the graph, re-running Yen on the
 /// pruned graph returns bit-identical paths, because every spur search
-/// of the original run found a path that still exists (Dijkstra returns
-/// the same path when its result survives pruning, so every candidate
-/// pool — and therefore every selection — is reproduced unchanged).
-/// If a removed link only avoids the *selected* paths, an equal-cost
-/// candidate replacement can still win a tie-break and change the
-/// output, so caches must key on the full footprint, not the selection.
+/// of the original run found a path that still exists (the hop search
+/// returns the same path when its result survives pruning: removing
+/// links off that path changes no node's level or lowest-id
+/// predecessor along it, so every candidate pool — and therefore every
+/// selection — is reproduced unchanged). If a removed link only avoids
+/// the *selected* paths, an equal-length candidate replacement can still
+/// win a tie-break and change the output, so caches must key on the full
+/// footprint, not the selection.
 pub fn k_shortest_paths_with_footprint(
     g: &Graph,
     src: NodeId,
@@ -47,10 +58,15 @@ pub fn k_shortest_paths_with_footprint(
     k: usize,
 ) -> (Vec<Path>, Vec<LinkId>) {
     let mut footprint = Vec::new();
-    let paths = yen_core(g, src, dst, k, |_| 1.0, Some(&mut footprint));
+    let paths = yen_core(g, src, dst, k, |_| false, Some(&mut footprint));
     footprint.sort_unstable_by_key(|l| l.idx());
     footprint.dedup();
     (paths, footprint)
+}
+
+/// Yen's order on paths: hop count, then node sequence.
+fn by_hops_then_nodes(a: &Path, b: &Path) -> Ordering {
+    (a.len(), &a.nodes).cmp(&(b.len(), &b.nodes))
 }
 
 fn yen_core<F>(
@@ -58,43 +74,41 @@ fn yen_core<F>(
     src: NodeId,
     dst: NodeId,
     k: usize,
-    length: F,
+    down: F,
     mut footprint: Option<&mut Vec<LinkId>>,
 ) -> Vec<Path>
 where
-    F: Fn(LinkId) -> f64,
+    F: Fn(LinkId) -> bool,
 {
     if k == 0 || src == dst {
         return Vec::new();
     }
     let mut search = Search::new(g);
-    let mut selected: Vec<(f64, Path)> = Vec::new();
-    let Some(first) = search.shortest_path(g, src, dst, &length) else {
+    let Some(first) = search.hop_path(g, src, dst, &down) else {
         return Vec::new();
     };
     if let Some(fp) = footprint.as_deref_mut() {
-        fp.extend_from_slice(&first.1.links);
+        fp.extend_from_slice(&first.links);
     }
-    selected.push(first);
+    let mut selected: Vec<Path> = vec![first];
 
     // Candidate pool; deduplicated by node sequence.
-    let mut candidates: Vec<(f64, Path)> = Vec::new();
+    let mut candidates: Vec<Path> = Vec::new();
     let mut candidate_keys: HashSet<Vec<NodeId>> = HashSet::new();
 
     while selected.len() < k {
-        let (_, last) = selected.last().expect("nonempty").clone();
+        let last = &selected[selected.len() - 1];
         // Spur from every node of the previously selected path.
         for i in 0..last.nodes.len() - 1 {
             let spur = last.nodes[i];
             let root_nodes = &last.nodes[..=i];
             let root_links = &last.links[..i];
-            let root_cost: f64 = root_links.iter().map(|&l| length(l)).sum();
 
             // Mask: the next link of every *selected* path sharing this
             // root (candidates stay routable — masking them too would
             // wrongly suppress paths that are never selected), plus all
             // root nodes except the spur node.
-            for (_, p) in &selected {
+            for p in &selected {
                 if p.nodes.len() > i && p.nodes[..=i] == *root_nodes {
                     search.block_link(p.links[i]);
                 }
@@ -102,9 +116,9 @@ where
             for &n in &root_nodes[..i] {
                 search.block_node(n);
             }
-            let spur_path = search.shortest_path(g, spur, dst, &length);
+            let spur_path = search.hop_path(g, spur, dst, &down);
             search.unblock_all();
-            let Some((spur_cost, spur_path)) = spur_path else {
+            let Some(spur_path) = spur_path else {
                 continue;
             };
             // Stitch root + spur.
@@ -118,44 +132,34 @@ where
                 fp.extend_from_slice(&total.links);
             }
             if candidate_keys.insert(total.nodes.clone()) {
-                candidates.push((root_cost + spur_cost, total));
+                candidates.push(total);
             }
         }
-        if candidates.is_empty() {
-            break;
-        }
-        // Extract the best candidate: min (cost, node sequence).
-        let best_idx = candidates
+        // Extract the best candidate: min (hops, node sequence).
+        let Some(best_idx) = candidates
             .iter()
             .enumerate()
-            .min_by(|(_, (ca, pa)), (_, (cb, pb))| {
-                ca.partial_cmp(cb)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| pa.nodes.cmp(&pb.nodes))
-            })
+            .min_by(|(_, a), (_, b)| by_hops_then_nodes(a, b))
             .map(|(idx, _)| idx)
-            .expect("nonempty");
+        else {
+            break;
+        };
         let best = candidates.swap_remove(best_idx);
-        candidate_keys.remove(&best.1.nodes);
+        candidate_keys.remove(&best.nodes);
         selected.push(best);
     }
 
     // Final deterministic ordering.
-    selected.sort_by(|(ca, pa), (cb, pb)| {
-        ca.partial_cmp(cb)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| pa.nodes.cmp(&pb.nodes))
-    });
-    let paths: Vec<Path> = selected.into_iter().map(|(_, p)| p).collect();
+    selected.sort_by(by_hops_then_nodes);
     #[cfg(feature = "strict-invariants")]
-    for p in &paths {
+    for p in &selected {
         debug_assert!(
             p.validate(g).is_ok(),
             "yen produced an invalid path: {:?}",
             p.validate(g)
         );
     }
-    paths
+    selected
 }
 
 #[cfg(test)]
@@ -245,22 +249,5 @@ mod tests {
         assert_eq!(ps.len(), 2);
         assert_eq!(ps[0].nodes, vec![s, a, t]);
         assert_eq!(ps[1].nodes, vec![s, b, t]);
-    }
-
-    #[test]
-    fn respects_custom_lengths() {
-        let mut g = Graph::new();
-        let s = g.add_node(NodeKind::GenericSwitch, "s");
-        let a = g.add_node(NodeKind::GenericSwitch, "a");
-        let b = g.add_node(NodeKind::GenericSwitch, "b");
-        let t = g.add_node(NodeKind::GenericSwitch, "t");
-        let (sa, _) = g.add_duplex_link(s, a, 1.0);
-        g.add_duplex_link(s, b, 1.0);
-        g.add_duplex_link(a, t, 1.0);
-        g.add_duplex_link(b, t, 1.0);
-        // Penalize the s→a link so the b branch sorts first.
-        let ps = k_shortest_paths_by(&g, s, t, 2, |l| if l == sa { 5.0 } else { 1.0 });
-        assert_eq!(ps[0].nodes, vec![s, b, t]);
-        assert_eq!(ps[1].nodes, vec![s, a, t]);
     }
 }

@@ -248,10 +248,75 @@ proptest! {
             }
         }
         for dead in g.link_ids().filter(|l| !fpset.contains(l)).take(6) {
-            let masked = yen::k_shortest_paths_by(&g, src, dst, k, |l| {
-                if l == dead { f64::INFINITY } else { 1.0 }
-            });
+            let masked = yen::k_shortest_paths_avoiding(&g, src, dst, k, |l| l == dead);
             prop_assert_eq!(&masked, &base, "non-footprint mask changed the output");
+        }
+    }
+}
+
+/// `n` switches, each followed in id order by 0–3 servers (so switch and
+/// server ids interleave), `links` random switch–switch cables (the graph
+/// may be disconnected), `parallel` extra cables between one switch pair,
+/// and one server homed on two switches.
+fn switches_servers_parallel(n: usize, links: usize, parallel: usize, seed: u64) -> Graph {
+    let mut g = Graph::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut switches = Vec::with_capacity(n);
+    for i in 0..n {
+        let sw = g.add_node(NodeKind::GenericSwitch, format!("sw{i}"));
+        for j in 0..rng.gen_range(0..=3) {
+            let h = g.add_node(NodeKind::Server, format!("h{i}-{j}"));
+            g.add_duplex_link(h, sw, 10.0);
+        }
+        switches.push(sw);
+    }
+    for _ in 0..links {
+        let a = switches[rng.gen_range(0..n)];
+        let b = switches[rng.gen_range(0..n)];
+        if a != b {
+            g.add_duplex_link(a, b, 10.0);
+        }
+    }
+    let (a, b) = (switches[0], switches[n - 1]);
+    for _ in 0..parallel {
+        g.add_duplex_link(a, b, 10.0);
+    }
+    let dual = g.add_node(NodeKind::Server, "dual");
+    g.add_duplex_link(dual, switches[rng.gen_range(0..n)], 10.0);
+    g.add_duplex_link(dual, switches[rng.gen_range(0..n)], 10.0);
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The level-synchronous hop search returns the heap Dijkstra's path
+    /// with lengths 1 and ∞ on down links, bit for bit: same nodes, same
+    /// links among parallel cables, same `None` when cut off.
+    #[test]
+    fn hop_search_matches_unit_dijkstra(
+        n in 2usize..12,
+        links in 1usize..30,
+        parallel in 0usize..3,
+        seed in any::<u64>(),
+        down_pct in 0u32..50,
+    ) {
+        let g = switches_servers_parallel(n, links, parallel, seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(!seed);
+        let down: Vec<bool> = (0..g.link_count())
+            .map(|_| rng.gen_range(0u32..100) < down_pct)
+            .collect();
+        let nodes = g.node_count() as u32;
+        for _ in 0..8 {
+            let src = NodeId(rng.gen_range(0..nodes));
+            for dst in g.node_ids() {
+                let got = dijkstra::shortest_path_avoiding(&g, src, dst, |l| down[l.idx()]);
+                let want = dijkstra::shortest_path_by(&g, src, dst, |l| {
+                    if down[l.idx()] { f64::INFINITY } else { 1.0 }
+                })
+                .map(|(_, p)| p);
+                prop_assert_eq!(got, want, "{:?} -> {:?}", src, dst);
+            }
         }
     }
 }

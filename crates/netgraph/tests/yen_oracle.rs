@@ -5,9 +5,11 @@
 //! spur search allocates its own state, masks removed links and root nodes
 //! through `HashSet`s, and relaxes servers (pushing them onto the heap and
 //! discarding them when popped) instead of skipping them. The production
-//! search reuses one state, masks with boolean vectors and never relaxes a
-//! server that is not the destination; this test pins that both return the
-//! same paths and the same footprint, bit for bit.
+//! search is a level-synchronous BFS over hop counts that reuses one
+//! state, masks with boolean vectors and never enters a server that is
+//! not the destination; this test pins that both return the same paths
+//! and the same footprint, bit for bit, under unit lengths with failed
+//! links at `f64::INFINITY`.
 
 use netgraph::{yen, Graph, LinkId, NodeId, NodeKind, Path};
 use proptest::prelude::*;
@@ -245,27 +247,18 @@ proptest! {
         seed in any::<u64>(),
         k in 1usize..9,
         mask_pct in 0u32..40,
-        weighted in any::<bool>(),
     ) {
         let g = switches_with_servers(n, extra, seed);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
         let nodes = g.node_count() as u32;
         let src = NodeId(rng.gen_range(0..nodes));
         let dst = NodeId(rng.gen_range(0..nodes));
-        let lengths: Vec<f64> = (0..g.link_count())
-            .map(|_| {
-                if rng.gen_range(0u32..100) < mask_pct {
-                    f64::INFINITY
-                } else if weighted {
-                    f64::from(rng.gen_range(1u32..=3))
-                } else {
-                    1.0
-                }
-            })
+        let down: Vec<bool> = (0..g.link_count())
+            .map(|_| rng.gen_range(0u32..100) < mask_pct)
             .collect();
-        let len = |l: LinkId| lengths[l.idx()];
 
-        let got = yen::k_shortest_paths_by(&g, src, dst, k, len);
+        let got = yen::k_shortest_paths_avoiding(&g, src, dst, k, |l| down[l.idx()]);
+        let len = |l: LinkId| if down[l.idx()] { f64::INFINITY } else { 1.0 };
         let want = yen_core(&g, src, dst, k, len, None);
         prop_assert_eq!(got, want);
 
