@@ -1,23 +1,74 @@
 //! Micro-benchmarks of the substrate algorithms every experiment rests
-//! on: Yen k-shortest paths, max-min water filling, flat-tree
+//! on: Yen k-shortest paths (plain and masked), max-min water filling, flat-tree
 //! instantiation, and the wiring-property checkers. These are the
 //! performance-tracking benches for regressions, not paper figures.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
+use ft_bench::experiments::common;
 use mcf::IncrementalAllocator;
+use netgraph::LinkId;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use topology::ClosParams;
 
 fn bench(c: &mut Criterion) {
     // Yen on the mini Clos.
+    let mut rng = ChaCha8Rng::seed_from_u64(11);
     let clos = ClosParams::mini().build();
     let g = &clos.net.graph;
     let s0 = clos.net.servers[0];
     let s63 = clos.net.servers[63];
     c.bench_function("substrates/yen_k8_mini_clos", |b| {
         b.iter(|| netgraph::yen::k_shortest_paths(g, s0, s63, 8).len());
+    });
+
+    // Masked switch-pair Yen, as a failure-aware MPTCP provider runs it:
+    // k=8 on the mini topo-1 global flat-tree, one engine, every 16th
+    // ingress-switch pair under each of four fixed failure sets of 10%
+    // of the switch cables (both directions down).
+    let inst = common::instance(
+        &common::flat_tree_over(common::topo(1, false)),
+        PodMode::Global,
+    );
+    let g = &inst.net.graph;
+    let cables: Vec<LinkId> = g
+        .link_ids()
+        .filter(|&l| {
+            let info = g.link(l);
+            g.node(info.src).kind.is_switch()
+                && g.node(info.dst).kind.is_switch()
+                && info.reverse.is_none_or(|r| r.0 > l.0)
+        })
+        .collect();
+    let failure_sets: Vec<Vec<bool>> = (0..4)
+        .map(|_| {
+            let mut cut = cables.clone();
+            cut.shuffle(&mut rng);
+            let mut down = vec![false; g.link_count()];
+            for &l in &cut[..cables.len() / 10] {
+                down[l.idx()] = true;
+                down[g.link(l).reverse.expect("duplex cable").idx()] = true;
+            }
+            down
+        })
+        .collect();
+    let pairs: Vec<_> = routing::SharedRouteTable::ingress_pairs(g)
+        .into_iter()
+        .step_by(16)
+        .collect();
+    let mut yen = netgraph::yen::Yen::new(g);
+    c.bench_function("substrates/yen_masked_k8_mini_global", |b| {
+        b.iter(|| {
+            let mut paths = 0;
+            for down in &failure_sets {
+                for &(a, d) in &pairs {
+                    paths += yen.paths_avoiding(g, a, d, 8, |l| down[l.idx()]).len();
+                }
+            }
+            paths
+        });
     });
 
     // Water filling with 2048 random one-subflow groups over 256 links,

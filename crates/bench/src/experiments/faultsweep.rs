@@ -30,7 +30,7 @@ use control::resilient::RetryPolicy;
 use flat_tree::{ConverterConfig, FlatTree, ModeAssignment, PodMode};
 use flowsim::faults::{ControlFaults, FaultPlan, StuckConfig};
 use flowsim::{FailedLinks, SimConfig, Transport};
-use netgraph::{dijkstra, Graph, LinkId, NodeId};
+use netgraph::{Graph, LinkId, NodeId};
 use serde::{Deserialize, Serialize};
 use testbed::TestbedRig;
 
@@ -164,6 +164,7 @@ fn min_connectivity(
         return 1.0;
     }
     let mut failed = FailedLinks::new(g.link_count());
+    let mut reach = Reach::new(g);
     let mut min_frac = 1.0f64;
     let events = &schedule.events;
     let mut i = 0;
@@ -177,15 +178,105 @@ fn min_connectivity(
             }
             i += 1;
         }
-        let connected = pairs
-            .iter()
-            .filter(|&&(s, d)| {
-                dijkstra::shortest_path_avoiding(g, s, d, |l| failed.is_down(l)).is_some()
-            })
-            .count();
+        let connected = reach.connected_pairs(g, pairs, |l| failed.is_down(l));
         min_frac = min_frac.min(connected as f64 / pairs.len() as f64);
     }
     min_frac
+}
+
+/// Pair connectivity by reachability sweeps on reused state: one sweep
+/// per distinct first-hop switch rather than one path search per pair.
+///
+/// A pair `(s, d)` is connected iff a path search from `s` to `d` would
+/// find one: `s == d`, or `d` is entered from some alive first hop of
+/// `s` — a switch `s` is its own first hop; a server's first hops are the
+/// switches its alive links reach, plus `d` itself when such a link
+/// ends there. A sweep forwards through switches only, like the search.
+struct Reach {
+    /// `seen[v] == stamp`: the current sweep entered `v`.
+    seen: Vec<u32>,
+    stamp: u32,
+    queue: Vec<NodeId>,
+    /// `(first hop, pair index)`, grouped by first hop.
+    roots: Vec<(NodeId, usize)>,
+    connected: Vec<bool>,
+}
+
+impl Reach {
+    fn new(g: &Graph) -> Self {
+        Reach {
+            seen: vec![0; g.node_count()],
+            stamp: 0,
+            queue: Vec::new(),
+            roots: Vec::new(),
+            connected: Vec::new(),
+        }
+    }
+
+    /// How many of `pairs` are connected with every `down` link removed.
+    fn connected_pairs<F>(&mut self, g: &Graph, pairs: &[(NodeId, NodeId)], down: F) -> usize
+    where
+        F: Fn(LinkId) -> bool,
+    {
+        self.roots.clear();
+        self.connected.clear();
+        self.connected.resize(pairs.len(), false);
+        for (i, &(s, d)) in pairs.iter().enumerate() {
+            if s == d {
+                self.connected[i] = true;
+            } else if g.node(s).kind.is_transit() {
+                self.roots.push((s, i));
+            } else {
+                for &(w, l) in g.neighbors(s) {
+                    if down(l) {
+                        continue;
+                    }
+                    if w == d {
+                        self.connected[i] = true;
+                    } else if g.node(w).kind.is_transit() {
+                        self.roots.push((w, i));
+                    }
+                }
+            }
+        }
+        self.roots.sort_unstable();
+        let mut at = 0;
+        while at < self.roots.len() {
+            let root = self.roots[at].0;
+            let end = at + self.roots[at..].partition_point(|&(w, _)| w == root);
+            if self.roots[at..end].iter().any(|&(_, i)| !self.connected[i]) {
+                self.sweep(g, root, &down);
+                for &(_, i) in &self.roots[at..end] {
+                    let d = pairs[i].1;
+                    self.connected[i] |= self.seen[d.idx()] == self.stamp;
+                }
+            }
+            at = end;
+        }
+        self.connected.iter().filter(|&&c| c).count()
+    }
+
+    /// Marks every node entered from `root` (a switch) through alive
+    /// links, forwarding through switches only.
+    fn sweep<F>(&mut self, g: &Graph, root: NodeId, down: F)
+    where
+        F: Fn(LinkId) -> bool,
+    {
+        self.stamp += 1;
+        self.seen[root.idx()] = self.stamp;
+        self.queue.clear();
+        self.queue.push(root);
+        while let Some(u) = self.queue.pop() {
+            for &(v, l) in g.neighbors(u) {
+                if self.seen[v.idx()] != self.stamp && !down(l) {
+                    self.seen[v.idx()] = self.stamp;
+                    if g.node(v).kind.is_transit() {
+                        self.queue.push(v);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// The mode grid: the three uniform modes plus a half-global hybrid.
@@ -598,4 +689,99 @@ pub fn print(s: &FaultSweep) {
         ],
         &body,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flowsim::{FaultSchedule, LinkEvent};
+    use netgraph::{dijkstra, NodeKind};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// `n` switches with 0–2 servers each, `cables` random switch cables
+    /// (maybe disconnected), one server homed on two switches, and one
+    /// server cabled straight to it.
+    fn random_network(n: usize, cables: usize, rng: &mut ChaCha8Rng) -> Graph {
+        let mut g = Graph::new();
+        let switches: Vec<NodeId> = (0..n)
+            .map(|i| g.add_node(NodeKind::GenericSwitch, format!("sw{i}")))
+            .collect();
+        for (i, &sw) in switches.iter().enumerate() {
+            for j in 0..rng.gen_range(0..=2) {
+                let h = g.add_node(NodeKind::Server, format!("h{i}-{j}"));
+                g.add_duplex_link(h, sw, 10.0);
+            }
+        }
+        for _ in 0..cables {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if a != b {
+                g.add_duplex_link(switches[a], switches[b], 10.0);
+            }
+        }
+        let dual = g.add_node(NodeKind::Server, "dual");
+        g.add_duplex_link(dual, switches[0], 10.0);
+        g.add_duplex_link(dual, switches[rng.gen_range(0..n)], 10.0);
+        let peer = g.add_node(NodeKind::Server, "peer");
+        g.add_duplex_link(peer, dual, 10.0);
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The sweep count equals one path search per pair after every
+        /// event time of a random directed-link schedule (each direction
+        /// fails and recovers on its own), over pairs of servers and
+        /// switches including `s == d`; `min_connectivity` is the minimum
+        /// of the per-pair fractions.
+        #[test]
+        fn sweeps_match_per_pair_search(
+            n in 1usize..10,
+            cables in 0usize..20,
+            events in 1usize..40,
+            seed in any::<u64>(),
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let g = random_network(n, cables, &mut rng);
+            let nodes = g.node_count() as u32;
+            let pairs: Vec<(NodeId, NodeId)> = (0..24)
+                .map(|_| (NodeId(rng.gen_range(0..nodes)), NodeId(rng.gen_range(0..nodes))))
+                .collect();
+            let mut schedule = FaultSchedule::empty();
+            for _ in 0..events {
+                schedule.events.push(LinkEvent {
+                    time: f64::from(rng.gen_range(0u32..8)),
+                    link: LinkId(rng.gen_range(0..g.link_count() as u32)),
+                    up: rng.gen_bool(0.3),
+                });
+            }
+            schedule.events.sort_by(|a, b| a.time.total_cmp(&b.time));
+            let mut failed = FailedLinks::new(g.link_count());
+            let mut reach = Reach::new(&g);
+            let mut want_min = 1.0f64;
+            for (i, e) in schedule.events.iter().enumerate() {
+                if e.up {
+                    failed.recover(e.link);
+                } else {
+                    failed.fail(e.link);
+                }
+                if schedule.events.get(i + 1).is_some_and(|next| next.time == e.time) {
+                    continue;
+                }
+                let want = pairs
+                    .iter()
+                    .filter(|&&(s, d)| {
+                        dijkstra::shortest_path_avoiding(&g, s, d, |l| failed.is_down(l)).is_some()
+                    })
+                    .count();
+                let got = reach.connected_pairs(&g, &pairs, |l| failed.is_down(l));
+                prop_assert_eq!(got, want, "at t = {}", e.time);
+                want_min = want_min.min(want as f64 / pairs.len() as f64);
+            }
+            let got_min = min_connectivity(&g, &schedule, &pairs);
+            prop_assert_eq!(got_min.to_bits(), want_min.to_bits());
+        }
+    }
 }

@@ -19,7 +19,7 @@
 
 use crate::failures::FailedLinks;
 use crate::sim::FlowSpec;
-use netgraph::{dijkstra, ecmp, yen, Graph, NodeId, Path, PathArena, PathId};
+use netgraph::{dijkstra, ecmp, yen::Yen, Graph, NodeId, Path, PathArena, PathId};
 use routing::{ksp, RouteTable, SharedRouteTable};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -141,7 +141,9 @@ impl PathProvider for EcmpProvider {
 ///
 /// Per-epoch results are cached per server pair as interned ids — the
 /// rerouting burst after a failure computes each pair once, and later
-/// arrivals on the pair are lookups.
+/// arrivals on the pair are lookups. A provider serves one graph: its
+/// Yen engines are built for the first route's graph and debug-assert
+/// that every later route passes the same one.
 #[derive(Debug)]
 pub struct MptcpProvider {
     coupled: bool,
@@ -151,6 +153,8 @@ pub struct MptcpProvider {
     /// Masked switch-pair path sets for the current epoch, for pairs
     /// whose Yen footprint touches a failed link.
     fail_switch: HashMap<(NodeId, NodeId), Vec<Path>>,
+    /// Runs the masked Yen; built on the first one, for that call's graph.
+    yen: Option<Yen>,
     cache: HashMap<(NodeId, NodeId), Option<RoutedConn>>,
     epoch: u64,
 }
@@ -172,6 +176,7 @@ impl MptcpProvider {
             table,
             fallback,
             fail_switch: HashMap::new(),
+            yen: None,
             cache: HashMap::new(),
             epoch: 0,
         }
@@ -216,10 +221,11 @@ impl MptcpProvider {
             return ksp::splice_server_pair(g, src, dst, paths);
         }
         let k = self.table.k();
+        let yen = self.yen.get_or_insert_with(|| Yen::new(g));
         let sp = self
             .fail_switch
             .entry((si, di))
-            .or_insert_with(|| yen::k_shortest_paths_avoiding(g, si, di, k, |l| failed.is_down(l)));
+            .or_insert_with(|| yen.paths_avoiding(g, si, di, k, |l| failed.is_down(l)));
         ksp::splice_server_pair(g, src, dst, sp)
     }
 }
@@ -259,7 +265,7 @@ impl PathProvider for MptcpProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netgraph::{LinkId, NodeKind};
+    use netgraph::{yen, LinkId, NodeKind};
 
     /// Diamond: s - e0 - {x, y} - e1 - t, all 10G.
     fn diamond() -> (Graph, NodeId, NodeId, LinkId) {

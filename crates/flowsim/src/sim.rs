@@ -35,6 +35,29 @@ pub(crate) const STALL_RATE: f64 = 1e-12;
 /// Gbps → bytes/second.
 pub(crate) const GBPS_TO_BPS: f64 = 1e9 / 8.0;
 
+/// Whether each interned path is alive, memoized per path for one
+/// failure epoch: the invariant-1 audit asks at every allocation, but the
+/// failure set changes only at fault events. It reads only the failure
+/// set and the arena, never the engine's own routing state.
+#[derive(Default)]
+struct AliveMemo {
+    /// `(epoch, alive)` per path id; stale when the epoch differs.
+    at: Vec<(u64, bool)>,
+}
+
+impl AliveMemo {
+    fn alive(&mut self, arena: &PathArena, failed: &FailedLinks, pid: PathId) -> bool {
+        if pid.idx() >= self.at.len() {
+            self.at.resize(arena.len(), (u64::MAX, false));
+        }
+        let slot = &mut self.at[pid.idx()];
+        if slot.0 != failed.epoch() {
+            *slot = (failed.epoch(), failed.path_alive(arena.links(pid)));
+        }
+        slot.1
+    }
+}
+
 /// A flow to simulate, endpoints already bound to graph nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FlowSpec {
@@ -388,6 +411,7 @@ fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
     let mut order: Vec<usize> = (0..flows.len()).collect();
     order.sort_by(|&a, &b| flows[a].start.total_cmp(&flows[b].start).then(a.cmp(&b)));
     let mut failed = FailedLinks::new(g.link_count());
+    let mut audit_alive = AliveMemo::default();
 
     let mut next_arrival = 0usize;
     let mut active: Vec<Active> = Vec::new();
@@ -414,7 +438,7 @@ fn run_engine<P: PathProvider + ?Sized, S: TraceSink>(
                 let sub = bind.subflow_rates(ci);
                 for (&pid, &r) in a.path_ids.iter().zip(sub) {
                     audit.checks += 1;
-                    if r > STALL_RATE && !failed.path_alive(arena.links(pid)) {
+                    if r > STALL_RATE && !audit_alive.alive(&arena, &failed, pid) {
                         audit.rate_on_down_link += 1;
                     }
                 }
@@ -756,6 +780,26 @@ mod tests {
             servers.push(s);
         }
         (g, servers, core)
+    }
+
+    #[test]
+    fn audit_memo_follows_every_failure_epoch() {
+        let (g, servers, core) = dumbbell();
+        let mut arena = PathArena::new();
+        let cross = arena.intern(
+            netgraph::dijkstra::shortest_path(&g, servers[0], servers[2]).expect("connected"),
+        );
+        let rack = arena.intern(
+            netgraph::dijkstra::shortest_path(&g, servers[0], servers[1]).expect("connected"),
+        );
+        let mut failed = FailedLinks::new(g.link_count());
+        let mut memo = AliveMemo::default();
+        assert!(memo.alive(&arena, &failed, cross));
+        failed.fail(core);
+        assert!(!memo.alive(&arena, &failed, cross));
+        assert!(memo.alive(&arena, &failed, rack));
+        failed.recover(core);
+        assert!(memo.alive(&arena, &failed, cross));
     }
 
     fn spec(id: u64, src: NodeId, dst: NodeId, bytes: f64, start: f64) -> FlowSpec {

@@ -4,10 +4,11 @@
 //! All routines refuse to expand *through* non-transit nodes (servers):
 //! a server may start or terminate a path but never forward.
 //!
-//! Every hop-count path search — single paths and Yen's spur searches —
-//! runs one level-synchronous BFS over a reusable state that blocks
-//! nodes and links with boolean masks. The heap Dijkstra serves only
-//! real-valued lengths.
+//! A single hop-count path runs one level-synchronous BFS over a
+//! reusable state that blocks nodes and links with boolean masks
+//! ([`shortest_path_avoiding`]). Yen's searches run the same rules as a
+//! goal-directed A* on per-graph state (see [`crate::yen::Yen`]), and the
+//! BFS is their oracle. The heap Dijkstra serves only real-valued lengths.
 
 use crate::graph::{Graph, LinkId, NodeId};
 use crate::path::Path;
@@ -167,6 +168,7 @@ fn trace_back(prev: &[Option<(NodeId, LinkId)>], src: NodeId, dst: NodeId) -> Op
 /// Each search resets only the nodes the previous one reached, so after
 /// construction a search costs time in the part of the graph it explores,
 /// not in `node_count`, and allocates nothing but the returned path.
+#[derive(Debug, Clone)]
 pub(crate) struct Search {
     /// Hop distance from the last search's source; `u32::MAX` = unseen.
     dist: Vec<u32>,
@@ -211,14 +213,19 @@ impl Search {
         }
     }
 
+    /// Clears every link block.
+    pub(crate) fn unblock_links(&mut self) {
+        for l in self.blocked_links.drain(..) {
+            self.link_blocked[l.idx()] = false;
+        }
+    }
+
     /// Clears every node and link block.
     pub(crate) fn unblock_all(&mut self) {
         for n in self.blocked_nodes.drain(..) {
             self.node_blocked[n.idx()] = false;
         }
-        for l in self.blocked_links.drain(..) {
-            self.link_blocked[l.idx()] = false;
-        }
+        self.unblock_links();
     }
 
     /// The fewest-hop path from `src` to `dst` under the current blocks,
@@ -245,10 +252,7 @@ impl Search {
     where
         F: Fn(LinkId) -> bool,
     {
-        debug_assert!(
-            self.dist.len() == g.node_count() && self.link_blocked.len() == g.link_count(),
-            "search state built for another graph"
-        );
+        debug_assert!(self.fits(g), "search state built for another graph");
         for n in self.touched.drain(..) {
             self.dist[n.idx()] = u32::MAX;
             self.prev[n.idx()] = None;
@@ -288,12 +292,248 @@ impl Search {
         }
         trace_back(&self.prev, src, dst)
     }
+
+    /// Whether the state was built for a graph of `g`'s shape.
+    fn fits(&self, g: &Graph) -> bool {
+        self.dist.len() == g.node_count() && self.link_blocked.len() == g.link_count()
+    }
+}
+
+/// `h` of a node that cannot reach the goal.
+const FAR: u32 = u32::MAX;
+
+/// Per-graph, goal-directed hop-count search: the [`Search`] rules run
+/// as a unit-weight A*, for many searches toward one destination.
+///
+/// [`GoalSearch::aim`] runs one reverse BFS from `dst` over the incoming
+/// links of switches, with `down` links removed: `h(v)` is then the
+/// fewest hops from `v` to `dst` through switches, `FAR` when there is
+/// none, and `FAR` on every server but `dst`. Node and link blocks only
+/// lengthen paths, so `h` is a lower bound under any blocks, and it is
+/// consistent: `h(u) <= 1 + h(v)` on every usable link `u → v`.
+///
+/// [`GoalSearch::find`] then pops nodes from a bucket queue keyed by
+/// `f = g + h` and never enters a node with `h = FAR`, so it leaves
+/// out everything that cannot reach `dst` in time. It returns the path
+/// of [`Search::hop_path`] bit for bit. Because `h` is consistent, `g`
+/// is final when a node is popped. Let `D` be the `f` at which `dst` is
+/// popped. Every in-neighbour `u` of a shortest-path node `v` with
+/// `g(u) = g(v) - 1` lies on a shortest path itself, so `f(u) <= D`.
+/// The search exhausts bucket `D` before it stops, so all such `u` are
+/// expanded. Each one offers itself as `v`'s predecessor under the BFS
+/// rule: the lowest id wins, through its first usable link in
+/// adjacency order.
+#[derive(Debug, Clone)]
+pub(crate) struct GoalSearch {
+    /// Blocks, `g` distances, predecessors and the reset list.
+    pub(crate) search: Search,
+    /// The links from `u` into switches are `out[out_start[u]..out_start[u + 1]]`,
+    /// in adjacency order: the only links a search toward a switch can take.
+    out_start: Vec<u32>,
+    out: Vec<(NodeId, LinkId)>,
+    /// The links into `v` from switches are `inc[inc_start[v]..inc_start[v + 1]]`.
+    inc_start: Vec<u32>,
+    inc: Vec<(NodeId, LinkId)>,
+    /// Lower bound on the hops to the last [`GoalSearch::aim`]'s goal.
+    h: Vec<u32>,
+    /// Nodes with `h < FAR`, in BFS order: the reverse BFS queue.
+    aimed: Vec<NodeId>,
+    /// `buckets[f]`: nodes queued at `f = g + h`, some of them stale.
+    buckets: Vec<Vec<NodeId>>,
+}
+
+impl GoalSearch {
+    pub(crate) fn new(g: &Graph) -> Self {
+        let search = Search::new(g);
+        let n = g.node_count();
+        let mut out_start = Vec::with_capacity(n + 1);
+        let mut out = Vec::new();
+        let mut inc_count = vec![0u32; n + 1];
+        for u in g.node_ids() {
+            out_start.push(out.len() as u32);
+            for &(v, l) in g.neighbors(u) {
+                if search.forwards[v.idx()] {
+                    out.push((v, l));
+                }
+                if search.forwards[u.idx()] {
+                    inc_count[v.idx() + 1] += 1;
+                }
+            }
+        }
+        out_start.push(out.len() as u32);
+        for v in 0..n {
+            inc_count[v + 1] += inc_count[v];
+        }
+        let inc_start = inc_count.clone();
+        let mut inc = vec![(NodeId(0), LinkId(0)); inc_count[n] as usize];
+        for u in g.node_ids().filter(|u| search.forwards[u.idx()]) {
+            for &(v, l) in g.neighbors(u) {
+                let at = &mut inc_count[v.idx()];
+                inc[*at as usize] = (u, l);
+                *at += 1;
+            }
+        }
+        GoalSearch {
+            search,
+            out_start,
+            out,
+            inc_start,
+            inc,
+            h: vec![FAR; n],
+            aimed: Vec::new(),
+            buckets: vec![Vec::new()],
+        }
+    }
+
+    /// Whether the state was built for a graph of `g`'s shape.
+    pub(crate) fn fits(&self, g: &Graph) -> bool {
+        self.search.fits(g)
+    }
+
+    /// Sets the goal of the next searches to `dst`, with every link for
+    /// which `down` holds removed: one reverse BFS that fills `h`.
+    pub(crate) fn aim<F>(&mut self, dst: NodeId, down: F)
+    where
+        F: Fn(LinkId) -> bool,
+    {
+        for n in self.aimed.drain(..) {
+            self.h[n.idx()] = FAR;
+        }
+        self.h[dst.idx()] = 0;
+        self.aimed.push(dst);
+        let mut next = 0;
+        while let Some(&v) = self.aimed.get(next) {
+            next += 1;
+            let hv = self.h[v.idx()] + 1;
+            let (lo, hi) = (self.inc_start[v.idx()], self.inc_start[v.idx() + 1]);
+            for &(u, l) in &self.inc[lo as usize..hi as usize] {
+                if self.h[u.idx()] == FAR && !down(l) {
+                    self.h[u.idx()] = hv;
+                    self.aimed.push(u);
+                }
+            }
+        }
+    }
+
+    /// Runs the search from `src` to the goal `dst` of the last
+    /// [`GoalSearch::aim`], under the current blocks and with the same
+    /// `down` links removed; returns whether `dst` was reached. The path
+    /// is then read with [`GoalSearch::append_path`].
+    pub(crate) fn find<F>(&mut self, g: &Graph, src: NodeId, dst: NodeId, down: F) -> bool
+    where
+        F: Fn(LinkId) -> bool,
+    {
+        debug_assert!(self.fits(g), "search state built for another graph");
+        debug_assert_eq!(
+            self.h[dst.idx()],
+            0,
+            "search toward a goal it was not aimed at"
+        );
+        let Self {
+            search,
+            out_start,
+            out,
+            h,
+            buckets,
+            ..
+        } = self;
+        for n in search.touched.drain(..) {
+            search.dist[n.idx()] = u32::MAX;
+            search.prev[n.idx()] = None;
+        }
+        search.dist[src.idx()] = 0;
+        search.touched.push(src);
+        if src == dst {
+            return true;
+        }
+        // A switch goal is entered only from switches' links into
+        // switches; a server goal needs the full adjacency. Either way
+        // `h` is FAR on every server but `dst`, so no other server is
+        // entered.
+        let to_switch = search.forwards[dst.idx()];
+        let mut u = src;
+        let mut hi = 0;
+        let mut b = 0;
+        loop {
+            let gu = search.dist[u.idx()];
+            let links = if to_switch {
+                &out[out_start[u.idx()] as usize..out_start[u.idx() + 1] as usize]
+            } else {
+                g.neighbors(u)
+            };
+            for &(v, l) in links {
+                let vi = v.idx();
+                if h[vi] == FAR || (search.node_blocked[vi] && v != dst) {
+                    continue;
+                }
+                if search.link_blocked[l.idx()] || down(l) {
+                    continue;
+                }
+                let gv = gu + 1;
+                if gv < search.dist[vi] {
+                    if search.dist[vi] == u32::MAX {
+                        search.touched.push(v);
+                    }
+                    search.dist[vi] = gv;
+                    search.prev[vi] = Some((u, l));
+                    let f = (gv + h[vi]) as usize;
+                    if f >= buckets.len() {
+                        buckets.resize_with(f + 1, Vec::new);
+                    }
+                    buckets[f].push(v);
+                    hi = hi.max(f);
+                } else if gv == search.dist[vi] && search.prev[vi].is_some_and(|(p, _)| u < p) {
+                    search.prev[vi] = Some((u, l));
+                }
+            }
+            // Next node: the top of the lowest non-empty bucket, skipping
+            // stale entries and the goal, which is never expanded. A
+            // bucket whose `f` is the goal's distance is the last.
+            u = loop {
+                match buckets[b].pop() {
+                    Some(v) if search.dist[v.idx()] + h[v.idx()] != b as u32 || v == dst => {}
+                    Some(v) => break v,
+                    None if search.dist[dst.idx()] == b as u32 || b >= hi => {
+                        for bucket in &mut buckets[b..=hi] {
+                            bucket.clear();
+                        }
+                        return search.dist[dst.idx()] != u32::MAX;
+                    }
+                    None => b += 1,
+                }
+            };
+        }
+    }
+
+    /// Appends the path the last [`GoalSearch::find`] found, `src`
+    /// excluded, to `nodes` and `links`.
+    pub(crate) fn append_path(
+        &self,
+        src: NodeId,
+        dst: NodeId,
+        nodes: &mut Vec<NodeId>,
+        links: &mut Vec<LinkId>,
+    ) {
+        let (n0, l0) = (nodes.len(), links.len());
+        let mut cur = dst;
+        while cur != src {
+            let (p, l) = self.search.prev[cur.idx()].expect("found path is traced");
+            nodes.push(cur);
+            links.push(l);
+            cur = p;
+        }
+        nodes[n0..].reverse();
+        links[l0..].reverse();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::NodeKind;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     /// Diamond: s - a - t and s - b - c - t; shortest is via a.
     fn diamond() -> (Graph, [NodeId; 5]) {
@@ -452,5 +692,93 @@ mod tests {
         assert_eq!(p, shortest_path_by(&g, s, t, |_| 1.0).unwrap().1);
         let p = shortest_path_avoiding(&g, s, t, |l| l == first).unwrap();
         assert_eq!(p.links[0], second);
+    }
+
+    /// `n` switches, each followed in id order by 0–3 servers, `links`
+    /// random cables, `parallel` extra cables between the first and last
+    /// switch, and one server homed on two switches (a shortcut for any
+    /// search that would forward through a server).
+    fn switches_and_servers(
+        n: usize,
+        links: usize,
+        parallel: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Graph {
+        let mut g = Graph::new();
+        let mut switches = Vec::with_capacity(n);
+        for i in 0..n {
+            let sw = g.add_node(NodeKind::GenericSwitch, format!("sw{i}"));
+            for j in 0..rng.gen_range(0..=3) {
+                let h = g.add_node(NodeKind::Server, format!("h{i}-{j}"));
+                g.add_duplex_link(h, sw, 10.0);
+            }
+            switches.push(sw);
+        }
+        for _ in 0..links {
+            let a = switches[rng.gen_range(0..n)];
+            let b = switches[rng.gen_range(0..n)];
+            if a != b {
+                g.add_duplex_link(a, b, 10.0);
+            }
+        }
+        for _ in 0..parallel {
+            g.add_duplex_link(switches[0], switches[n - 1], 10.0);
+        }
+        let dual = g.add_node(NodeKind::Server, "dual");
+        g.add_duplex_link(dual, switches[0], 10.0);
+        g.add_duplex_link(dual, switches[rng.gen_range(0..n)], 10.0);
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The goal-directed search returns `hop_path`'s result bit for
+        /// bit toward every goal (switches and servers), under random
+        /// down links (each direction on its own) and random node and
+        /// link blocks, including blocked sources and goals, parallel
+        /// cables and unreachable goals.
+        #[test]
+        fn goal_search_matches_hop_search(
+            n in 2usize..12,
+            links in 1usize..30,
+            parallel in 0usize..3,
+            seed in any::<u64>(),
+            down_pct in 0u32..50,
+            block_pct in 0u32..30,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let g = switches_and_servers(n, links, parallel, &mut rng);
+            let down: Vec<bool> = (0..g.link_count())
+                .map(|_| rng.gen_range(0u32..100) < down_pct)
+                .collect();
+            let is_down = |l: LinkId| down[l.idx()];
+            let nodes = g.node_count() as u32;
+            let mut gs = GoalSearch::new(&g);
+            for dst in g.node_ids() {
+                gs.aim(dst, is_down);
+                for _ in 0..4 {
+                    let src = NodeId(rng.gen_range(0..nodes));
+                    for v in g.node_ids() {
+                        if rng.gen_range(0u32..100) < block_pct {
+                            gs.search.block_node(v);
+                        }
+                    }
+                    for l in g.link_ids() {
+                        if rng.gen_range(0u32..100) < block_pct {
+                            gs.search.block_link(l);
+                        }
+                    }
+                    let want = gs.search.hop_path(&g, src, dst, is_down);
+                    let got = gs.find(&g, src, dst, is_down).then(|| {
+                        let mut p = Path { nodes: vec![src], links: Vec::new() };
+                        gs.append_path(src, dst, &mut p.nodes, &mut p.links);
+                        p
+                    });
+                    gs.search.unblock_all();
+                    prop_assert_eq!(got, want, "{:?} -> {:?}", src, dst);
+                }
+            }
+        }
     }
 }

@@ -4,18 +4,18 @@
 //! routing (§4, citing \[50\]); `routing` builds its per-pair path tables on
 //! top of this module. Paths are simple (loop-free), returned sorted by
 //! hop count and then lexicographically by node sequence, so the output
-//! is fully deterministic. Every spur search is one level-synchronous BFS
-//! on a search state reused across the run.
+//! is fully deterministic. A [`Yen`] engine holds the per-graph search
+//! state; every search of a run is one goal-directed hop search toward
+//! the run's destination. The free functions are one-shot engines.
 
-use crate::dijkstra::Search;
+use crate::dijkstra::GoalSearch;
 use crate::graph::{Graph, LinkId, NodeId};
 use crate::path::Path;
 use std::cmp::Ordering;
-use std::collections::HashSet;
 
 /// k shortest loopless paths by hop count.
 pub fn k_shortest_paths(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-    yen_core(g, src, dst, k, |_| false, None)
+    Yen::new(g).paths_avoiding(g, src, dst, k, |_| false)
 }
 
 /// [`k_shortest_paths`] with every link for which `down` holds removed
@@ -33,7 +33,7 @@ pub fn k_shortest_paths_avoiding<F>(
 where
     F: Fn(LinkId) -> bool,
 {
-    yen_core(g, src, dst, k, down, None)
+    Yen::new(g).paths_avoiding(g, src, dst, k, down)
 }
 
 /// [`k_shortest_paths`] plus the run's **footprint**: every link used by
@@ -57,11 +57,7 @@ pub fn k_shortest_paths_with_footprint(
     dst: NodeId,
     k: usize,
 ) -> (Vec<Path>, Vec<LinkId>) {
-    let mut footprint = Vec::new();
-    let paths = yen_core(g, src, dst, k, |_| false, Some(&mut footprint));
-    footprint.sort_unstable_by_key(|l| l.idx());
-    footprint.dedup();
-    (paths, footprint)
+    Yen::new(g).paths_with_footprint(g, src, dst, k)
 }
 
 /// Yen's order on paths: hop count, then node sequence.
@@ -69,97 +65,202 @@ fn by_hops_then_nodes(a: &Path, b: &Path) -> Ordering {
     (a.len(), &a.nodes).cmp(&(b.len(), &b.nodes))
 }
 
-fn yen_core<F>(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    down: F,
-    mut footprint: Option<&mut Vec<LinkId>>,
-) -> Vec<Path>
-where
-    F: Fn(LinkId) -> bool,
-{
-    if k == 0 || src == dst {
-        return Vec::new();
+/// A Yen engine for one graph: the goal-directed search state and a
+/// candidate pool, reused by every run, so a run allocates only the
+/// paths it returns.
+///
+/// Each run aims the search at its destination once (one reverse BFS
+/// with the down links removed), then finds the first path and every
+/// spur path with it. Spur paths are stitched into pooled buffers and
+/// deduplicated by node sequence among the pending candidates. Runs on
+/// any graph but the one the engine was built for are a logic error.
+#[derive(Debug, Clone)]
+pub struct Yen {
+    search: GoalSearch,
+    /// `pool[..live]` are a run's pending candidates; the other slots
+    /// keep their buffers for later candidates and runs.
+    pool: Vec<Candidate>,
+    /// Per selected path, the node prefix it shares with the last one.
+    shared: Vec<usize>,
+}
+
+#[derive(Debug, Clone)]
+struct Candidate {
+    /// Hash of the node sequence, compared first when deduplicating.
+    key: u64,
+    path: Path,
+}
+
+impl Yen {
+    /// An engine for `g`.
+    pub fn new(g: &Graph) -> Self {
+        Yen {
+            search: GoalSearch::new(g),
+            pool: Vec::new(),
+            shared: Vec::new(),
+        }
     }
-    let mut search = Search::new(g);
-    let Some(first) = search.hop_path(g, src, dst, &down) else {
-        return Vec::new();
-    };
-    if let Some(fp) = footprint.as_deref_mut() {
-        fp.extend_from_slice(&first.links);
+
+    /// [`k_shortest_paths_avoiding`] on this engine's graph.
+    pub fn paths_avoiding<F>(
+        &mut self,
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+        down: F,
+    ) -> Vec<Path>
+    where
+        F: Fn(LinkId) -> bool,
+    {
+        self.run(g, src, dst, k, down, None)
     }
-    let mut selected: Vec<Path> = vec![first];
 
-    // Candidate pool; deduplicated by node sequence.
-    let mut candidates: Vec<Path> = Vec::new();
-    let mut candidate_keys: HashSet<Vec<NodeId>> = HashSet::new();
+    /// [`k_shortest_paths_with_footprint`] on this engine's graph.
+    pub fn paths_with_footprint(
+        &mut self,
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+    ) -> (Vec<Path>, Vec<LinkId>) {
+        let mut footprint = Vec::new();
+        let paths = self.run(g, src, dst, k, |_| false, Some(&mut footprint));
+        footprint.sort_unstable_by_key(|l| l.idx());
+        footprint.dedup();
+        (paths, footprint)
+    }
 
-    while selected.len() < k {
-        let last = &selected[selected.len() - 1];
-        // Spur from every node of the previously selected path.
-        for i in 0..last.nodes.len() - 1 {
-            let spur = last.nodes[i];
-            let root_nodes = &last.nodes[..=i];
-            let root_links = &last.links[..i];
+    fn run<F>(
+        &mut self,
+        g: &Graph,
+        src: NodeId,
+        dst: NodeId,
+        k: usize,
+        down: F,
+        mut footprint: Option<&mut Vec<LinkId>>,
+    ) -> Vec<Path>
+    where
+        F: Fn(LinkId) -> bool,
+    {
+        debug_assert!(self.search.fits(g), "Yen engine built for another graph");
+        if k == 0 || src == dst {
+            return Vec::new();
+        }
+        let Yen {
+            search,
+            pool,
+            shared,
+        } = self;
+        search.aim(dst, &down);
+        if !search.find(g, src, dst, &down) {
+            return Vec::new();
+        }
+        let mut first = Path {
+            nodes: vec![src],
+            links: Vec::new(),
+        };
+        search.append_path(src, dst, &mut first.nodes, &mut first.links);
+        if let Some(fp) = footprint.as_deref_mut() {
+            fp.extend_from_slice(&first.links);
+        }
+        let mut selected: Vec<Path> = vec![first];
+        let mut live = 0;
 
-            // Mask: the next link of every *selected* path sharing this
-            // root (candidates stay routable — masking them too would
-            // wrongly suppress paths that are never selected), plus all
-            // root nodes except the spur node.
-            for p in &selected {
-                if p.nodes.len() > i && p.nodes[..=i] == *root_nodes {
-                    search.block_link(p.links[i]);
+        while selected.len() < k {
+            let last = &selected[selected.len() - 1];
+            shared.clear();
+            shared.extend(selected.iter().map(|p| {
+                p.nodes
+                    .iter()
+                    .zip(&last.nodes)
+                    .take_while(|(a, b)| a == b)
+                    .count()
+            }));
+            // Spur from every node of the previously selected path.
+            for i in 0..last.nodes.len() - 1 {
+                let spur = last.nodes[i];
+                // Mask: all root nodes except the spur node, plus the
+                // next link of every *selected* path sharing this root
+                // (candidates stay routable — masking them too would
+                // wrongly suppress paths that are never selected).
+                if i > 0 {
+                    search.search.block_node(last.nodes[i - 1]);
+                }
+                for (p, &common) in selected.iter().zip(shared.iter()) {
+                    if common > i {
+                        search.search.block_link(p.links[i]);
+                    }
+                }
+                let found = search.find(g, spur, dst, &down);
+                search.search.unblock_links();
+                if !found {
+                    continue;
+                }
+                // Stitch root + spur into the next free slot.
+                if live == pool.len() {
+                    pool.push(Candidate {
+                        key: 0,
+                        path: Path {
+                            nodes: Vec::new(),
+                            links: Vec::new(),
+                        },
+                    });
+                }
+                let (pending, free) = pool.split_at_mut(live);
+                let cand = &mut free[0];
+                cand.path.nodes.clear();
+                cand.path.nodes.extend_from_slice(&last.nodes[..=i]);
+                cand.path.links.clear();
+                cand.path.links.extend_from_slice(&last.links[..i]);
+                search.append_path(spur, dst, &mut cand.path.nodes, &mut cand.path.links);
+                debug_assert!(
+                    cand.path.validate(g).is_ok(),
+                    "Yen stitched an invalid path"
+                );
+                // The root links are the last selection's, already in it.
+                if let Some(fp) = footprint.as_deref_mut() {
+                    fp.extend_from_slice(&cand.path.links[i..]);
+                }
+                cand.key = node_key(&cand.path.nodes);
+                if !pending
+                    .iter()
+                    .any(|c| c.key == cand.key && c.path.nodes == cand.path.nodes)
+                {
+                    live += 1;
                 }
             }
-            for &n in &root_nodes[..i] {
-                search.block_node(n);
-            }
-            let spur_path = search.hop_path(g, spur, dst, &down);
-            search.unblock_all();
-            let Some(spur_path) = spur_path else {
-                continue;
+            search.search.unblock_all();
+            // Extract the best candidate: min (hops, node sequence).
+            let Some(best) =
+                (0..live).min_by(|&a, &b| by_hops_then_nodes(&pool[a].path, &pool[b].path))
+            else {
+                break;
             };
-            // Stitch root + spur.
-            let mut nodes = root_nodes.to_vec();
-            nodes.extend_from_slice(&spur_path.nodes[1..]);
-            let mut links = root_links.to_vec();
-            links.extend_from_slice(&spur_path.links);
-            let total = Path { nodes, links };
-            debug_assert!(total.validate(g).is_ok(), "Yen stitched an invalid path");
-            if let Some(fp) = footprint.as_deref_mut() {
-                fp.extend_from_slice(&total.links);
-            }
-            if candidate_keys.insert(total.nodes.clone()) {
-                candidates.push(total);
-            }
+            selected.push(pool[best].path.clone());
+            live -= 1;
+            pool.swap(best, live);
         }
-        // Extract the best candidate: min (hops, node sequence).
-        let Some(best_idx) = candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| by_hops_then_nodes(a, b))
-            .map(|(idx, _)| idx)
-        else {
-            break;
-        };
-        let best = candidates.swap_remove(best_idx);
-        candidate_keys.remove(&best.nodes);
-        selected.push(best);
-    }
 
-    // Final deterministic ordering.
-    selected.sort_by(by_hops_then_nodes);
-    #[cfg(feature = "strict-invariants")]
-    for p in &selected {
-        debug_assert!(
-            p.validate(g).is_ok(),
-            "yen produced an invalid path: {:?}",
-            p.validate(g)
-        );
+        // Final deterministic ordering.
+        selected.sort_by(by_hops_then_nodes);
+        #[cfg(feature = "strict-invariants")]
+        for p in &selected {
+            debug_assert!(
+                p.validate(g).is_ok(),
+                "yen produced an invalid path: {:?}",
+                p.validate(g)
+            );
+        }
+        selected
     }
-    selected
+}
+
+/// A hash of a node sequence (FxHash's mixing step).
+fn node_key(nodes: &[NodeId]) -> u64 {
+    nodes.iter().fold(nodes.len() as u64, |h, n| {
+        (h.rotate_left(5) ^ u64::from(n.0)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! demand — the same aggregation that reduces network state by the
 //! paper's 400–1600×.
 
-use netgraph::{yen, Graph, LinkId, NodeId, Path};
+use netgraph::{yen::Yen, Graph, LinkId, NodeId, Path};
 use std::collections::HashMap;
 
 /// The single 2-hop path between two servers on the same ingress switch.
@@ -68,9 +68,10 @@ pub(crate) struct PairEntry {
 }
 
 impl PairEntry {
-    /// Runs Yen between two switches and keeps its footprint.
-    pub(crate) fn compute(g: &Graph, a: NodeId, b: NodeId, k: usize) -> Self {
-        let (paths, footprint) = yen::k_shortest_paths_with_footprint(g, a, b, k);
+    /// Runs Yen between two switches on `yen`, an engine for `g`, and
+    /// keeps its footprint.
+    pub(crate) fn compute(yen: &mut Yen, g: &Graph, a: NodeId, b: NodeId, k: usize) -> Self {
+        let (paths, footprint) = yen.paths_with_footprint(g, a, b, k);
         Self {
             paths,
             footprint: footprint.into_boxed_slice(),
@@ -89,6 +90,8 @@ pub struct RouteTable {
     /// Number of concurrent paths (k in k-shortest-path routing).
     pub k: usize,
     cache: HashMap<(NodeId, NodeId), PairEntry>,
+    /// Built on the first miss, for that call's graph.
+    yen: Option<Yen>,
 }
 
 impl RouteTable {
@@ -98,14 +101,16 @@ impl RouteTable {
         Self {
             k,
             cache: HashMap::new(),
+            yen: None,
         }
     }
 
     fn entry(&mut self, g: &Graph, a: NodeId, b: NodeId) -> &PairEntry {
         let k = self.k;
-        self.cache
-            .entry((a, b))
-            .or_insert_with(|| PairEntry::compute(g, a, b, k))
+        let yen = &mut self.yen;
+        self.cache.entry((a, b)).or_insert_with(|| {
+            PairEntry::compute(yen.get_or_insert_with(|| Yen::new(g)), g, a, b, k)
+        })
     }
 
     /// The switch-level paths between two switches, computed on first use.

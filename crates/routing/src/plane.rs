@@ -18,7 +18,7 @@
 //! masked Yen otherwise. `flowsim`'s `MptcpProvider` is that reader.
 
 use crate::ksp::{rack_path, splice_server_pair, PairEntry};
-use netgraph::{Graph, LinkId, NodeId, Path};
+use netgraph::{yen::Yen, Graph, LinkId, NodeId, Path};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -95,7 +95,12 @@ impl SharedRouteTable {
             pairs.iter().copied().filter(|&(a, b)| a != b).collect();
         pairs.sort_unstable();
         pairs.dedup();
-        table.entries = par_map(&pairs, threads, |&(a, b)| PairEntry::compute(g, a, b, k));
+        table.entries = par_map(
+            &pairs,
+            threads,
+            || Yen::new(g),
+            |yen, &(a, b)| PairEntry::compute(yen, g, a, b, k),
+        );
         table.pair_index = pairs.into_iter().zip(0..).collect();
         table
     }
@@ -153,16 +158,20 @@ fn default_threads() -> usize {
 /// Deterministic parallel map: workers pull indices from a shared atomic
 /// queue and results are reassembled in input order, so the output never
 /// depends on the worker count or scheduling — the same discipline the
-/// experiment sweep driver uses.
-fn par_map<I, T, F>(items: &[I], threads: usize, job: F) -> Vec<T>
+/// experiment sweep driver uses. Each worker builds its own scratch state
+/// with `init` and hands it to every job it runs; a job's result must not
+/// depend on that state's history.
+fn par_map<I, S, T, N, F>(items: &[I], threads: usize, init: N, job: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
-    F: Fn(&I) -> T + Sync,
+    N: Fn() -> S + Sync,
+    F: Fn(&mut S, &I) -> T + Sync,
 {
     let workers = threads.clamp(1, items.len().max(1));
     if workers == 1 {
-        return items.iter().map(job).collect();
+        let mut state = init();
+        return items.iter().map(|item| job(&mut state, item)).collect();
     }
     let next = AtomicUsize::new(0);
     let collected: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(items.len()));
@@ -171,18 +180,21 @@ where
             .map(|_| {
                 let next = &next;
                 let collected = &collected;
-                let job = &job;
-                scope.spawn(move |_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
+                let (init, job) = (&init, &job);
+                scope.spawn(move |_| {
+                    let mut state = init();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= items.len() {
+                            break;
+                        }
+                        let out = job(&mut state, &items[i]);
+                        collected
+                            .lock()
+                            // ftlint::allow(FTL-R001): Mutex poisoning only follows a worker panic, which join() then propagates
+                            .expect("route-plane collector")
+                            .push((i, out));
                     }
-                    let out = job(&items[i]);
-                    collected
-                        .lock()
-                        // ftlint::allow(FTL-R001): Mutex poisoning only follows a worker panic, which join() then propagates
-                        .expect("route-plane collector")
-                        .push((i, out));
                 })
             })
             .collect();
