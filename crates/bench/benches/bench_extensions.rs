@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
 use ft_bench::experiments::{common, hybrid};
 use ft_bench::Scale;
-use netgraph::yen;
+use netgraph::yen::Yen;
 use topology::{fat_tree, ClosParams};
 
 fn bench(c: &mut Criterion) {
@@ -17,8 +17,9 @@ fn bench(c: &mut Criterion) {
     let dead = g
         .find_link(inst.pod_edges[0][0], inst.pod_aggs[0][0])
         .unwrap();
+    let mut yen = Yen::new(g);
     c.bench_function("extensions/masked_ksp_reroute", |b| {
-        b.iter(|| yen::k_shortest_paths_avoiding(g, s, d, 8, |l| l == dead).len());
+        b.iter(|| yen.paths_avoiding(g, s, d, 8, |l| l == dead).len());
     });
 
     // Hybrid zones, full pipeline at mini scale.

@@ -15,17 +15,18 @@ use flowsim::{
     Transport,
 };
 use ft_bench::experiments::common;
-use netgraph::{yen, Graph, LinkId, PathArena};
+use netgraph::{yen::Yen, Graph, LinkId, PathArena};
 use routing::SharedRouteTable;
 use std::collections::HashMap;
 use std::hint::black_box;
 use std::sync::Arc;
 use topology::DcNetwork;
 
-/// The pre-fix behavior under failures, as a provider: a from-scratch
-/// masked server-level Yen run per server pair, per failure epoch.
+/// The pre-fix behavior under failures, as a provider: a masked
+/// server-level Yen run per server pair, per failure epoch.
 struct ServerLevelOracle {
     k: usize,
+    yen: Yen,
     cache: HashMap<(netgraph::NodeId, netgraph::NodeId), Option<RoutedConn>>,
     epoch: u64,
 }
@@ -45,8 +46,9 @@ impl PathProvider for ServerLevelOracle {
         if let Some(hit) = self.cache.get(&(spec.src, spec.dst)) {
             return hit.clone();
         }
-        let paths =
-            yen::k_shortest_paths_avoiding(g, spec.src, spec.dst, self.k, |l| failed.is_down(l));
+        let paths = self
+            .yen
+            .paths_avoiding(g, spec.src, spec.dst, self.k, |l| failed.is_down(l));
         let conn = (!paths.is_empty()).then(|| {
             let w = 1.0 / paths.len() as f64;
             RoutedConn {
@@ -139,6 +141,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let mut p = ServerLevelOracle {
                 k,
+                yen: Yen::new(g),
                 cache: HashMap::new(),
                 epoch: 0,
             };

@@ -20,8 +20,9 @@ fn bench(c: &mut Criterion) {
     let g = &clos.net.graph;
     let s0 = clos.net.servers[0];
     let s63 = clos.net.servers[63];
+    let mut yen = netgraph::yen::Yen::new(g);
     c.bench_function("substrates/yen_k8_mini_clos", |b| {
-        b.iter(|| netgraph::yen::k_shortest_paths(g, s0, s63, 8).len());
+        b.iter(|| yen.paths_avoiding(g, s0, s63, 8, |_| false).len());
     });
 
     // Masked switch-pair Yen, as a failure-aware MPTCP provider runs it:

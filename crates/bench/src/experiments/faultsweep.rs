@@ -421,18 +421,12 @@ fn degradation_cell(scale: Scale, mode_idx: usize, fraction: f64) -> Degradation
     .expect("workload is valid by construction");
     let fcts: Vec<f64> = out.result.records.iter().filter_map(|r| r.fct()).collect();
     let mean_fct = crate::report::mean(&fcts);
-    let rates: Vec<f64> = out
-        .result
-        .records
-        .iter()
-        .filter_map(|r| r.avg_rate_gbps())
-        .collect();
     DegradationPoint {
         mode: name.clone(),
         fault_fraction: fraction,
         completed: out.result.completed_fraction(),
         fct_stretch: mean_fct, // normalized against the 0% cell later
-        mean_gbps: crate::report::mean(&rates),
+        mean_gbps: out.result.mean_rate_gbps().unwrap_or(0.0),
         parked: out.audit.parked,
         revived: out.audit.revived,
         audit_violations: out.audit.violations(),
@@ -459,12 +453,7 @@ fn stuck_cell(scale: Scale, n: usize) -> (usize, f64) {
     let pairs_idx = traffic::patterns::permutation(inst.net.num_servers(), scale.seed);
     let flows = common::flow_specs(&inst.net, &pairs_idx, BYTES);
     let res = flowsim::simulate(&inst.net.graph, &flows, &cfg).expect("workload is valid");
-    let rates: Vec<f64> = res
-        .records
-        .iter()
-        .filter_map(|r| r.avg_rate_gbps())
-        .collect();
-    (n, crate::report::mean(&rates))
+    (n, res.mean_rate_gbps().unwrap_or(0.0))
 }
 
 /// Runs the full sweep with the in-process parallel driver.

@@ -9,7 +9,7 @@ use crate::sweep::sweep;
 use crate::Scale;
 use flat_tree::{FlatTreeInstance, PodMode};
 use mcf::concurrent::max_concurrent_flow;
-use mcf::greedy::{max_total_flow, mean};
+use mcf::greedy::max_total_flow;
 use routing::SharedRouteTable;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -114,7 +114,7 @@ pub fn run(scale: Scale) -> Vec<Cell> {
         // value and the LP-min average (the LP-min solution is
         // feasible for the average objective), so report the better
         // of the two lower bounds.
-        let lp_avg = mean(&max_total_flow(&net.graph, &coms)).max(lp_min_avg);
+        let lp_avg = crate::report::mean(&max_total_flow(&net.graph, &coms)).max(lp_min_avg);
         let mut mptcp = [0.0f64; 3];
         for (i, table) in job.tables.iter().enumerate() {
             let rates = common::mptcp_rates(net, &job.pairs, table);

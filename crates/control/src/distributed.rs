@@ -51,8 +51,9 @@ impl PerSwitchChurn {
             .fold(0.0, f64::max)
     }
 
-    /// Total rule updates.
-    pub fn total_updates(&self) -> usize {
+    /// Total rule updates: the one-controller latency reference.
+    #[cfg(test)]
+    fn total_updates(&self) -> usize {
         self.per_switch.iter().map(|&(d, a)| d + a).sum()
     }
 }

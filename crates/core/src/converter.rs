@@ -80,11 +80,6 @@ impl ConverterConfig {
         }
     }
 
-    /// True when the side bundle is active (server sits on the core).
-    pub fn uses_side_ports(self) -> bool {
-        matches!(self, Self::Side | Self::Cross)
-    }
-
     /// Where the column's server attaches under this configuration.
     pub fn server_attachment(self) -> ServerAttachment {
         match self {
@@ -162,9 +157,7 @@ mod tests {
         for c in [ConverterConfig::Side, ConverterConfig::Cross] {
             assert_eq!(c.server_attachment(), SA::Core);
             assert_eq!(c.core_attachment(), CA::Server);
-            assert!(c.uses_side_ports());
         }
-        assert!(!ConverterConfig::Local.uses_side_ports());
     }
 
     #[test]

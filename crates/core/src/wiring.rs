@@ -121,7 +121,8 @@ pub fn core_of(
 /// Checks Property 1 of §3.2 on connector *assignments* (independent of a
 /// built graph): returns the number of blade-B (= relocated-server)
 /// connectors landing on each core, ascending by core index.
-pub fn server_connectors_per_core(params: &FlatTreeParams, pattern: WiringPattern) -> Vec<usize> {
+#[cfg(test)]
+fn server_connectors_per_core(params: &FlatTreeParams, pattern: WiringPattern) -> Vec<usize> {
     let mut counts = vec![0usize; params.clos.num_cores];
     for pod in 0..params.clos.pods {
         for j in 0..params.clos.edges_per_pod {

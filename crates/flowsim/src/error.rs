@@ -3,7 +3,7 @@
 //! Every run entry point validates its workload and fault schedule and
 //! returns a typed [`SimError`] instead of panicking on bad input (NaN
 //! start times, self-flows, empty flows, endpoints outside the graph,
-//! malformed schedules). Callers whose inputs are correct by
+//! MPTCP with zero subflows, malformed schedules). Callers whose inputs are correct by
 //! construction `expect` the result.
 
 use netgraph::NodeId;
@@ -48,6 +48,9 @@ pub enum SimError {
         /// The out-of-range directed-link index.
         link: usize,
     },
+    /// The transport is MPTCP with `k = 0` subflows: no path to route
+    /// a connection over.
+    ZeroSubflows,
     /// A fault-schedule event's time is NaN or infinite.
     NonFiniteFailureTime,
     /// A fault-schedule event names a link outside the graph.
@@ -84,6 +87,7 @@ impl std::fmt::Display for SimError {
             Self::UnknownPathLink { link } => {
                 write!(f, "path crosses unknown directed link {link}")
             }
+            Self::ZeroSubflows => write!(f, "MPTCP needs k >= 1 subflows, got k = 0"),
             Self::NonFiniteFailureTime => write!(f, "fault event time is not finite"),
             Self::UnknownFailedLink { link } => {
                 write!(f, "fault event names unknown directed link {link}")

@@ -10,9 +10,9 @@
 //!
 //! Two providers ship: [`EcmpProvider`] for single-path TCP and
 //! [`MptcpProvider`], the one failure-aware MPTCP router. The latter
-//! reads switch-pair entries from a shared [`SharedRouteTable`] with a
-//! lazy [`RouteTable`] fallback and reuses an entry exactly when its
-//! Yen footprint has no failed link.
+//! reads switch-pair entries from a shared [`SharedRouteTable`], fills
+//! a private one for pairs outside it, and reuses an entry exactly when
+//! its Yen footprint has no failed link.
 //!
 //! Providers return paths as [`PathId`]s interned in the simulation's
 //! [`PathArena`], so the hot loop never clones a path.
@@ -20,7 +20,7 @@
 use crate::failures::FailedLinks;
 use crate::sim::FlowSpec;
 use netgraph::{dijkstra, ecmp, yen::Yen, Graph, NodeId, Path, PathArena, PathId};
-use routing::{ksp, RouteTable, SharedRouteTable};
+use routing::{ksp, SharedRouteTable};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -129,31 +129,32 @@ impl PathProvider for EcmpProvider {
 /// Routing always happens at the **switch-pair** level (§4.2.1
 /// Observations 1–2): paths between the ingress and egress switches,
 /// with the two server uplinks spliced on. Switch-pair entries come from
-/// a shared precomputed [`SharedRouteTable`] first and from a private
-/// lazy [`RouteTable`] for pairs outside it; both store the same
-/// `(paths, Yen footprint)` entry. Failures keep the switch-pair
+/// a shared precomputed [`SharedRouteTable`] first and, for pairs
+/// outside it, from a private one filled on first use; both store the
+/// same `(paths, Yen footprint)` entry. Failures keep the switch-pair
 /// granularity, under one reuse rule: an entry whose footprint has no
 /// failed link is spliced as is — provably what the masked run would
-/// return (see [`netgraph::yen::k_shortest_paths_with_footprint`]) —
-/// and any other entry is re-run masked, once per pair per epoch. A
-/// connection parks only when its own uplink or downlink is down, and
-/// a non-server endpoint is unroutable in every epoch.
+/// return (see [`Yen::paths_with_footprint`]) — and any other entry is
+/// re-run masked, once per pair per epoch. A connection parks only when
+/// its own uplink or downlink is down, and a non-server endpoint is
+/// unroutable in every epoch.
 ///
 /// Per-epoch results are cached per server pair as interned ids — the
 /// rerouting burst after a failure computes each pair once, and later
 /// arrivals on the pair are lookups. A provider serves one graph: its
-/// Yen engines are built for the first route's graph and debug-assert
+/// Yen engine is built for the first route's graph and debug-asserts
 /// that every later route passes the same one.
 #[derive(Debug)]
 pub struct MptcpProvider {
     coupled: bool,
     table: Arc<SharedRouteTable>,
-    /// Lazily filled entries for switch pairs outside `table`.
-    fallback: RouteTable,
+    /// Entries for switch pairs outside `table`, filled on first use.
+    misses: SharedRouteTable,
     /// Masked switch-pair path sets for the current epoch, for pairs
     /// whose Yen footprint touches a failed link.
     fail_switch: HashMap<(NodeId, NodeId), Vec<Path>>,
-    /// Runs the masked Yen; built on the first one, for that call's graph.
+    /// Fills `misses` and runs the masked re-runs; built on the first
+    /// inter-rack route, for that call's graph.
     yen: Option<Yen>,
     cache: HashMap<(NodeId, NodeId), Option<RoutedConn>>,
     epoch: u64,
@@ -161,20 +162,21 @@ pub struct MptcpProvider {
 
 impl MptcpProvider {
     /// Provider for `k` subflows; `coupled` selects LIA-style weights.
-    /// Every switch pair is routed lazily on first use.
+    /// Every switch pair is routed lazily on first use. Panics when `k`
+    /// is 0.
     pub fn new(k: usize, coupled: bool) -> Self {
-        Self::with_shared(Arc::new(SharedRouteTable::empty(k.max(1))), coupled)
+        Self::with_shared(Arc::new(SharedRouteTable::empty(k)), coupled)
     }
 
     /// Provider over a precomputed route plane; `k` comes from the
-    /// table. Pairs outside the table's domain fall back to a private
-    /// lazy table with identical semantics.
+    /// table. Pairs outside the table's domain are filled into a private
+    /// table with identical semantics.
     pub fn with_shared(table: Arc<SharedRouteTable>, coupled: bool) -> Self {
-        let fallback = RouteTable::new(table.k());
+        let misses = SharedRouteTable::empty(table.k());
         Self {
             coupled,
             table,
-            fallback,
+            misses,
             fail_switch: HashMap::new(),
             yen: None,
             cache: HashMap::new(),
@@ -212,16 +214,16 @@ impl MptcpProvider {
         if si == di {
             return vec![ksp::rack_path(g, src, si, dst)];
         }
+        let yen = self.yen.get_or_insert_with(|| Yen::new(g));
         let (paths, footprint) = match self.table.entry(si, di) {
             Some(entry) => entry,
-            None => self.fallback.switch_paths_with_footprint(g, si, di),
+            None => self.misses.entry_or_compute(yen, g, si, di),
         };
         if failed.path_alive(footprint) {
             // Bit-identical to a masked run: nothing Yen examined is down.
             return ksp::splice_server_pair(g, src, dst, paths);
         }
         let k = self.table.k();
-        let yen = self.yen.get_or_insert_with(|| Yen::new(g));
         let sp = self
             .fail_switch
             .entry((si, di))
@@ -265,7 +267,7 @@ impl PathProvider for MptcpProvider {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netgraph::{yen, LinkId, NodeKind};
+    use netgraph::{LinkId, NodeKind};
 
     /// Diamond: s - e0 - {x, y} - e1 - t, all 10G.
     fn diamond() -> (Graph, NodeId, NodeId, LinkId) {
@@ -360,6 +362,7 @@ mod tests {
     fn mptcp_shared_table_matches_lazy_provider() {
         let (g, s, t, via_x) = diamond();
         let table = Arc::new(SharedRouteTable::build(&g, 2));
+        let mut yen = Yen::new(&g);
         let mut failed = FailedLinks::new(g.link_count());
         let mut arena_a = PathArena::new();
         let mut arena_b = PathArena::new();
@@ -377,6 +380,11 @@ mod tests {
             .route(&g, &mut arena_b, &failed, &spec(0, s, t))
             .unwrap();
         assert!(same_paths(&a, &arena_a, &b, &arena_b));
+        // Both splice the switch pair's direct Yen run.
+        let (e0, e1) = (NodeId(0), NodeId(1));
+        let (switch_paths, _) = yen.paths_with_footprint(&g, e0, e1, 2);
+        let routed: Vec<Path> = b.path_ids.iter().map(|&i| arena_b.get(i).clone()).collect();
+        assert_eq!(routed, ksp::splice_server_pair(&g, s, t, &switch_paths));
         failed.fail(via_x);
         if let Some(rev) = g.link(via_x).reverse {
             failed.fail(rev);
@@ -451,6 +459,7 @@ mod tests {
         failed.fail(cable);
         let mut arena = PathArena::new();
         let mut p = MptcpProvider::with_shared(Arc::clone(&table), true);
+        let mut yen = Yen::new(&g);
         // One server pair per ingress pair; each answer equals a
         // from-scratch masked run between the servers.
         for (id, (a, b)) in SharedRouteTable::ingress_pairs(&g).into_iter().enumerate() {
@@ -460,7 +469,7 @@ mod tests {
                 .map_or(Vec::new(), |r| {
                     r.path_ids.iter().map(|&i| arena.get(i).clone()).collect()
                 });
-            let want = yen::k_shortest_paths_avoiding(&g, src, dst, k, |l| failed.is_down(l));
+            let want = yen.paths_avoiding(&g, src, dst, k, |l| failed.is_down(l));
             assert_eq!(got, want, "{a:?} -> {b:?}");
         }
         // Only the pairs whose footprint crosses the cable re-ran Yen.

@@ -3,7 +3,9 @@
 //! [`simulate_reference`] is the event loop as it existed before the
 //! engine refactor (interned paths, persistent incremental allocation,
 //! failure-epoch route cache): it clones path sets, tracks failures in a
-//! `HashSet`, re-routes with fresh Yen runs, and allocates every event
+//! `HashSet`, routes MPTCP with a server-level Yen run per connection
+//! (no switch-pair table, so it shares no routing code with the
+//! provider it checks), and allocates every event
 //! from scratch through the textbook [`weighted_max_min`] oracle rather
 //! than the production allocator. It is the behavioral oracle —
 //! [`crate::simulate`] must produce bit-identical [`SimResult`]s — and
@@ -20,8 +22,7 @@ use crate::faults::FaultSchedule;
 use crate::sim::{FlowRecord, FlowSpec, SimConfig, SimResult, Transport};
 use crate::sim::{DONE_BYTES, GBPS_TO_BPS, STALL_RATE};
 use mcf::maxmin::{weighted_max_min, Entity};
-use netgraph::{ecmp, yen, Graph};
-use routing::RouteTable;
+use netgraph::{ecmp, yen::Yen, Graph};
 
 struct Active {
     rec_idx: usize,
@@ -54,7 +55,8 @@ fn oracle_rates(caps: &[f64], active: &[Active]) -> Vec<f64> {
 /// Runs the fluid simulation with the pre-refactor engine under a
 /// time-sorted, down-only fault schedule.
 ///
-/// Panics if `schedule` contains a recovery (`up`) event.
+/// Panics if `schedule` contains a recovery (`up`) event or MPTCP is
+/// configured with `k = 0`.
 pub fn simulate_reference(
     g: &Graph,
     flows: &[FlowSpec],
@@ -67,11 +69,10 @@ pub fn simulate_reference(
     );
     let failures = &schedule.events;
     let mut caps: Vec<f64> = g.link_ids().map(|l| g.link(l).capacity_gbps).collect();
-    let k = match cfg.transport {
-        Transport::TcpEcmp => 1,
-        Transport::Mptcp { k, .. } => k,
-    };
-    let mut rt = RouteTable::new(k.max(1));
+    if let Transport::Mptcp { k, .. } = cfg.transport {
+        assert!(k >= 1, "k-shortest-path routing needs k >= 1");
+    }
+    let mut yen = Yen::new(g);
 
     // Records in input order; simulation works on a start-sorted index.
     let mut records: Vec<FlowRecord> = flows
@@ -93,7 +94,7 @@ pub fn simulate_reference(
     let mut series = Vec::new();
     let mut t = 0.0f64;
 
-    let route = |rt: &mut RouteTable,
+    let route = |yen: &mut Yen,
                  failed: &std::collections::HashSet<usize>,
                  spec: &FlowSpec|
      -> Option<ConnPaths> {
@@ -119,13 +120,8 @@ pub fn simulate_reference(
                 })
             }
             Transport::Mptcp { k, coupled } => {
-                let paths: Vec<netgraph::Path> = if failed.is_empty() {
-                    rt.server_paths(g, spec.src, spec.dst)
-                } else {
-                    yen::k_shortest_paths_avoiding(g, spec.src, spec.dst, k, |l| {
-                        failed.contains(&l.idx())
-                    })
-                };
+                let paths =
+                    yen.paths_avoiding(g, spec.src, spec.dst, k, |l| failed.contains(&l.idx()));
                 if paths.is_empty() {
                     return None;
                 }
@@ -193,7 +189,7 @@ pub fn simulate_reference(
             let spec = flows[idx];
             assert_ne!(spec.src, spec.dst, "self-flow {}", spec.id);
             assert!(spec.bytes > 0.0, "empty flow {}", spec.id);
-            match route(&mut rt, &failed, &spec) {
+            match route(&mut yen, &failed, &spec) {
                 Some(conn) => active.push(Active {
                     rec_idx: idx,
                     spec,
@@ -221,7 +217,7 @@ pub fn simulate_reference(
                     .iter()
                     .any(|p| p.links.iter().any(|l| failed.contains(&l.idx())));
                 if hit {
-                    if let Some(conn) = route(&mut rt, &failed, &a.spec) {
+                    if let Some(conn) = route(&mut yen, &failed, &a.spec) {
                         a.conn = conn;
                     } else {
                         // Keep only surviving subflows (possibly none).

@@ -98,7 +98,9 @@ impl Transport {
     }
 
     /// The default routing for this transport: [`EcmpProvider`] for
-    /// TCP, a lazily filled [`MptcpProvider`] for MPTCP.
+    /// TCP, a lazily filled [`MptcpProvider`] for MPTCP. Panics for MPTCP
+    /// with `k = 0`, which the run entry points reject as
+    /// [`SimError::ZeroSubflows`].
     pub fn provider(&self) -> Box<dyn PathProvider> {
         match *self {
             Transport::TcpEcmp => Box::new(EcmpProvider::new()),
@@ -217,19 +219,6 @@ impl SimResult {
             .collect();
         (!v.is_empty()).then(|| v.iter().sum::<f64>() / v.len() as f64)
     }
-
-    /// Mean goodput (Gbps) over **all** input flows, counting every
-    /// incomplete flow as zero. Unlike
-    /// [`mean_rate_gbps`](Self::mean_rate_gbps), degraded flows do not
-    /// vanish from the denominator — this is the honest workload-level
-    /// number for runs under faults.
-    pub fn workload_mean_rate_gbps(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = self.records.iter().filter_map(|r| r.avg_rate_gbps()).sum();
-        sum / self.records.len() as f64
-    }
 }
 
 struct Active {
@@ -251,8 +240,17 @@ pub struct FaultSimOutcome {
     pub audit: AuditReport,
 }
 
-/// Validates a workload and a fault schedule against the graph.
-fn validate_inputs(g: &Graph, flows: &[FlowSpec], schedule: &[LinkEvent]) -> Result<(), SimError> {
+/// Validates a configuration, a workload and a fault schedule against
+/// the graph.
+fn validate_inputs(
+    g: &Graph,
+    flows: &[FlowSpec],
+    cfg: &SimConfig,
+    schedule: &[LinkEvent],
+) -> Result<(), SimError> {
+    if let Transport::Mptcp { k: 0, .. } = cfg.transport {
+        return Err(SimError::ZeroSubflows);
+    }
     for f in flows {
         if !f.start.is_finite() {
             return Err(SimError::NonFiniteStart { flow: f.id });
@@ -295,9 +293,21 @@ fn validate_inputs(g: &Graph, flows: &[FlowSpec], schedule: &[LinkEvent]) -> Res
 /// Flows may arrive in any order (sorted internally). Unroutable flows
 /// (disconnected endpoints) are recorded as never finishing.
 pub fn simulate(g: &Graph, flows: &[FlowSpec], cfg: &SimConfig) -> Result<SimResult, SimError> {
-    let (schedule, provider) = (FaultSchedule::empty(), &mut *cfg.transport.provider());
-    simulate_under_faults_with_provider_traced(g, flows, cfg, &schedule, provider, &mut NoopSink)
-        .map(|out| out.result)
+    // Validate before building the provider, which panics on k = 0.
+    validate_inputs(g, flows, cfg, &[])?;
+    let provider = &mut *cfg.transport.provider();
+    let schedule = FaultSchedule::empty();
+    let mut telemetry = AllocTelemetry::default();
+    Ok(run_engine(
+        g,
+        flows,
+        cfg,
+        provider,
+        &schedule,
+        &mut NoopSink,
+        &mut telemetry,
+    )
+    .result)
 }
 
 /// The general entry point: runs the fluid simulation under a fault
@@ -324,7 +334,7 @@ pub fn simulate_under_faults_with_provider_traced<P: PathProvider + ?Sized, S: T
     provider: &mut P,
     sink: &mut S,
 ) -> Result<FaultSimOutcome, SimError> {
-    validate_inputs(g, flows, &schedule.events)?;
+    validate_inputs(g, flows, cfg, &schedule.events)?;
     let mut telemetry = AllocTelemetry::default();
     Ok(run_engine(
         g,
@@ -349,7 +359,7 @@ pub fn simulate_with_telemetry<P: PathProvider + ?Sized>(
     provider: &mut P,
     telemetry: &mut AllocTelemetry,
 ) -> Result<FaultSimOutcome, SimError> {
-    validate_inputs(g, flows, &schedule.events)?;
+    validate_inputs(g, flows, cfg, &schedule.events)?;
     Ok(run_engine(
         g,
         flows,
@@ -1058,6 +1068,28 @@ mod tests {
             run_sched(vec![down(f64::INFINITY, core)]),
             Err(SimError::NonFiniteFailureTime)
         ));
+        // MPTCP with no subflows is rejected, not run as k = 1.
+        let zero_k = SimConfig {
+            transport: Transport::Mptcp {
+                k: 0,
+                coupled: true,
+            },
+            ..SimConfig::default()
+        };
+        let flows = [spec(5, s[0], s[2], 1.0, 0.0)];
+        let zero = Some(SimError::ZeroSubflows);
+        assert_eq!(simulate(&g, &flows, &zero_k).err(), zero);
+        let faulted = simulate_with_telemetry(
+            &g,
+            &flows,
+            &zero_k,
+            &FaultSchedule {
+                events: vec![down(0.5, core)],
+            },
+            &mut MptcpProvider::new(1, true),
+            &mut AllocTelemetry::default(),
+        );
+        assert_eq!(faulted.err(), zero);
     }
 
     /// A hand-built schedule whose times decrease is rejected at the
@@ -1243,9 +1275,8 @@ mod tests {
     }
 
     /// Accounting pin (PR 4): a parked-and-never-revived flow stays in
-    /// `records` as incomplete — it drags `completed_fraction` and
-    /// `workload_mean_rate_gbps` down but is excluded from the
-    /// completed-only `mean_fct` / `mean_rate_gbps`.
+    /// `records` as incomplete — it drags `completed_fraction` down but
+    /// is excluded from the completed-only `mean_fct` / `mean_rate_gbps`.
     #[test]
     fn parked_never_revived_counts_as_incomplete() {
         let (g, s, core) = dumbbell();
@@ -1269,8 +1300,6 @@ mod tests {
         // Completed-only metrics see just the intra-rack flow.
         assert!((res.mean_fct().unwrap() - 1.0).abs() < 1e-9);
         assert!((res.mean_rate_gbps().unwrap() - 10.0).abs() < 1e-9);
-        // The workload-level mean counts the parked flow as zero.
-        assert!((res.workload_mean_rate_gbps() - 5.0).abs() < 1e-9);
     }
 
     /// A traced run under a cable cut is the untraced run: bit-identical

@@ -2,14 +2,14 @@
 //! switch-level masked routing (mask failed links between the ingress
 //! and egress switches, splice surviving uplinks, park on a dead
 //! uplink) must yield exactly the path sets of the **server-level
-//! oracle** — a from-scratch masked Yen run per server pair — on mini
+//! oracle** — a masked Yen run per server pair — on mini
 //! topologies, whether a switch pair's entry comes from the shared
-//! table or from the provider's lazy fallback.
+//! table or from the pairs the provider fills on first use.
 
 use flowsim::provider::{MptcpProvider, PathProvider};
 use flowsim::sim::FlowSpec;
 use flowsim::FailedLinks;
-use netgraph::{yen, Graph, LinkId, NodeId, Path, PathArena};
+use netgraph::{yen::Yen, Graph, LinkId, NodeId, Path, PathArena};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -29,9 +29,16 @@ fn cables(g: &Graph) -> Vec<LinkId> {
         .collect()
 }
 
-/// The server-level oracle: a fresh masked Yen run between the servers.
-fn oracle(g: &Graph, src: NodeId, dst: NodeId, failed: &FailedLinks, k: usize) -> Vec<Path> {
-    yen::k_shortest_paths_avoiding(g, src, dst, k, |l| failed.is_down(l))
+/// The server-level oracle: a masked Yen run between the servers.
+fn oracle(
+    yen: &mut Yen,
+    g: &Graph,
+    src: NodeId,
+    dst: NodeId,
+    failed: &FailedLinks,
+    k: usize,
+) -> Vec<Path> {
+    yen.paths_avoiding(g, src, dst, k, |l| failed.is_down(l))
 }
 
 fn spec(id: u64, src: NodeId, dst: NodeId) -> FlowSpec {
@@ -56,16 +63,17 @@ fn routed_paths(
     })
 }
 
-/// Three providers per `k`: over an empty table (every switch pair from
-/// the lazy fallback), over the full table, and over a table covering
+/// Three providers per `k`: over an empty table (every switch pair
+/// filled on first use), over the full table, and over a table covering
 /// every other ingress pair, so one provider serves table pairs and
-/// fallback pairs in the same failure epochs.
+/// filled pairs in the same failure epochs.
 #[test]
 fn provider_matches_server_level_oracle_under_random_failures() {
     let clos = ClosParams::mini().build();
     let g = &clos.net.graph;
     let servers = g.servers();
     let all_cables = cables(g);
+    let mut yen = Yen::new(g);
     let (mut in_half, mut outside_half) = (0usize, 0usize);
     for k in [4usize, 8] {
         let full = Arc::new(SharedRouteTable::build(g, k));
@@ -114,7 +122,7 @@ fn provider_matches_server_level_oracle_under_random_failures() {
                         outside_half += 1;
                     }
                 }
-                let want = oracle(g, src, dst, &failed, k);
+                let want = oracle(&mut yen, g, src, dst, &failed, k);
                 let sp = spec(id as u64, src, dst);
                 for (name, p) in &mut providers {
                     assert_eq!(
@@ -128,7 +136,7 @@ fn provider_matches_server_level_oracle_under_random_failures() {
             // no-failure oracle once every link is back up.
             failed.set_all_up();
             let (src, dst) = (servers[0], servers[servers.len() - 1]);
-            let want = oracle(g, src, dst, &failed, k);
+            let want = oracle(&mut yen, g, src, dst, &failed, k);
             let sp = spec(99, src, dst);
             for (name, p) in &mut providers {
                 assert_eq!(routed_paths(p, g, &mut arena, &failed, &sp), want, "{name}");
@@ -151,6 +159,7 @@ fn dead_uplink_parks_exactly_like_the_oracle() {
     let up = g.find_link(src, si).unwrap();
     let mut failed = FailedLinks::new(g.link_count());
     failed.fail(up);
+    let mut yen = Yen::new(g);
     let k = 4;
     let table = Arc::new(SharedRouteTable::build(g, k));
     let mut arena = PathArena::new();
@@ -160,12 +169,12 @@ fn dead_uplink_parks_exactly_like_the_oracle() {
     ] {
         // src's only outgoing link is dead: oracle finds nothing, the
         // provider parks.
-        assert!(oracle(g, src, dst, &failed, k).is_empty());
+        assert!(oracle(&mut yen, g, src, dst, &failed, k).is_empty());
         assert!(provider
             .route(g, &mut arena, &failed, &spec(0, src, dst))
             .is_none());
         // The reverse direction never crosses the dead directed link.
-        let want = oracle(g, dst, src, &failed, k);
+        let want = oracle(&mut yen, g, dst, src, &failed, k);
         assert!(!want.is_empty());
         assert_eq!(
             routed_paths(provider, g, &mut arena, &failed, &spec(1, dst, src)),

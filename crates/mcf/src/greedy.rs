@@ -59,15 +59,6 @@ pub fn max_total_flow(g: &Graph, commodities: &[Commodity]) -> Vec<f64> {
     rates
 }
 
-/// Average of `rates` (0 for an empty slice).
-pub fn mean(rates: &[f64]) -> f64 {
-    if rates.is_empty() {
-        0.0
-    } else {
-        rates.iter().sum::<f64>() / rates.len() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +112,7 @@ mod tests {
             "long flow should be starved, got {}",
             rates[0]
         );
-        assert!((mean(&rates) - 20.0 / 3.0).abs() < 1e-9);
+        assert!((rates.iter().sum::<f64>() - 20.0).abs() < 1e-9);
     }
 
     #[test]

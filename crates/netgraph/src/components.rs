@@ -53,12 +53,6 @@ impl UnionFind {
     pub fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
-
-    /// Size of the set containing `x`.
-    pub fn set_size(&mut self, x: usize) -> usize {
-        let r = self.find(x);
-        self.size[r] as usize
-    }
 }
 
 /// Union-find over every link of `g`. Isolated nodes stay singletons.
@@ -82,11 +76,6 @@ pub fn component_count_among(g: &Graph, nodes: &[NodeId]) -> usize {
     reps.len()
 }
 
-/// Whether every node in `nodes` lies in one connected component.
-pub fn all_connected(g: &Graph, nodes: &[NodeId]) -> bool {
-    component_count_among(g, nodes) <= 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +88,6 @@ mod tests {
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
         assert!(uf.connected(0, 1));
-        assert_eq!(uf.set_size(1), 2);
     }
 
     #[test]
@@ -112,10 +100,10 @@ mod tests {
         g.add_duplex_link(a, b, 1.0);
         g.add_duplex_link(c, d, 1.0);
         assert_eq!(component_count_among(&g, &[a, b, c, d]), 2);
-        assert!(all_connected(&g, &[a, b]));
-        assert!(!all_connected(&g, &[a, c]));
+        assert_eq!(component_count_among(&g, &[a, b]), 1);
+        assert_eq!(component_count_among(&g, &[a, c]), 2);
         g.add_duplex_link(b, c, 1.0);
-        assert!(all_connected(&g, &[a, b, c, d]));
+        assert_eq!(component_count_among(&g, &[a, b, c, d]), 1);
     }
 
     #[test]
@@ -126,6 +114,6 @@ mod tests {
         let e = g.add_node(NodeKind::EdgeSwitch, "e");
         g.add_duplex_link(s1, e, 10.0);
         g.add_duplex_link(s2, e, 10.0);
-        assert!(all_connected(&g, &[s1, s2]));
+        assert_eq!(component_count_among(&g, &[s1, s2]), 1);
     }
 }

@@ -35,7 +35,8 @@
 //! g.add_duplex_link(s, a, 10.0);
 //! g.add_duplex_link(a, b, 10.0);
 //! g.add_duplex_link(b, t, 10.0);
-//! let paths = netgraph::yen::k_shortest_paths(&g, s, t, 4);
+//! let mut yen = netgraph::yen::Yen::new(&g);
+//! let paths = yen.paths_avoiding(&g, s, t, 4, |_| false);
 //! assert_eq!(paths.len(), 1);
 //! assert_eq!(paths[0].nodes, vec![s, a, b, t]);
 //! ```

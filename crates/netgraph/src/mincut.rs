@@ -125,12 +125,6 @@ impl FlowNetwork {
     }
 }
 
-/// One-shot s–t min-cut in cable units. Prefer [`FlowNetwork`] directly when
-/// querying many pairs on the same graph.
-pub fn min_cut_cables(g: &Graph, s: NodeId, t: NodeId, unit_gbps: f64) -> u64 {
-    FlowNetwork::in_cable_units(g, unit_gbps).min_cut(s, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +138,7 @@ mod tests {
         let a = g.add_node(NodeKind::GenericSwitch, "a");
         let b = g.add_node(NodeKind::GenericSwitch, "b");
         g.add_duplex_link(a, b, 30.0);
-        assert_eq!(min_cut_cables(&g, a, b, 10.0), 3);
+        assert_eq!(FlowNetwork::in_cable_units(&g, 10.0).min_cut(a, b), 3);
     }
 
     /// Diamond: s -> {x, y} -> t, unit capacities. Cut = 2.
@@ -158,7 +152,7 @@ mod tests {
         for (u, v) in [(s, x), (s, y), (x, t), (y, t)] {
             g.add_duplex_link(u, v, 10.0);
         }
-        assert_eq!(min_cut_cables(&g, s, t, 10.0), 2);
+        assert_eq!(FlowNetwork::in_cable_units(&g, 10.0).min_cut(s, t), 2);
     }
 
     /// A chain bottlenecks at its thinnest link.
@@ -170,7 +164,7 @@ mod tests {
         let c = g.add_node(NodeKind::GenericSwitch, "c");
         g.add_duplex_link(a, b, 40.0);
         g.add_duplex_link(b, c, 10.0);
-        assert_eq!(min_cut_cables(&g, a, c, 10.0), 1);
+        assert_eq!(FlowNetwork::in_cable_units(&g, 10.0).min_cut(a, c), 1);
     }
 
     /// Disconnected nodes have a zero cut.
@@ -179,7 +173,7 @@ mod tests {
         let mut g = Graph::new();
         let a = g.add_node(NodeKind::GenericSwitch, "a");
         let b = g.add_node(NodeKind::GenericSwitch, "b");
-        assert_eq!(min_cut_cables(&g, a, b, 10.0), 0);
+        assert_eq!(FlowNetwork::in_cable_units(&g, 10.0).min_cut(a, b), 0);
     }
 
     /// Queries on one `FlowNetwork` are independent (state resets).

@@ -64,24 +64,6 @@ impl Path {
         *self.nodes.last().expect("paths are non-empty")
     }
 
-    /// The minimum link capacity along the path, in Gbps.
-    pub fn bottleneck_gbps(&self, g: &Graph) -> f64 {
-        self.links
-            .iter()
-            .map(|&l| g.link(l).capacity_gbps)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Number of *switches* traversed (excludes server endpoints).
-    /// The paper's §4.2.2 claims flat-tree paths traverse < 3 switches on
-    /// average; this is the quantity that claim refers to.
-    pub fn switch_hops(&self, g: &Graph) -> usize {
-        self.nodes
-            .iter()
-            .filter(|&&n| g.node(n).kind.is_switch())
-            .count()
-    }
-
     /// Validates the structural invariant against a graph; used in tests
     /// and debug assertions.
     pub fn validate(&self, g: &Graph) -> Result<(), String> {
@@ -154,20 +136,6 @@ mod tests {
     fn from_nodes_rejects_repeats() {
         let (g, ns) = line();
         assert!(Path::from_nodes(&g, &[ns[0], ns[1], ns[0]]).is_none());
-    }
-
-    #[test]
-    fn bottleneck_is_min_capacity() {
-        let (g, ns) = line();
-        let p = Path::from_nodes(&g, &ns).unwrap();
-        assert_eq!(p.bottleneck_gbps(&g), 10.0);
-    }
-
-    #[test]
-    fn switch_hops_excludes_servers() {
-        let (g, ns) = line();
-        let p = Path::from_nodes(&g, &ns).unwrap();
-        assert_eq!(p.switch_hops(&g), 2);
     }
 
     #[test]

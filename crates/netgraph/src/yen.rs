@@ -6,59 +6,12 @@
 //! hop count and then lexicographically by node sequence, so the output
 //! is fully deterministic. A [`Yen`] engine holds the per-graph search
 //! state; every search of a run is one goal-directed hop search toward
-//! the run's destination. The free functions are one-shot engines.
+//! the run's destination.
 
 use crate::dijkstra::GoalSearch;
 use crate::graph::{Graph, LinkId, NodeId};
 use crate::path::Path;
 use std::cmp::Ordering;
-
-/// k shortest loopless paths by hop count.
-pub fn k_shortest_paths(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
-    Yen::new(g).paths_avoiding(g, src, dst, k, |_| false)
-}
-
-/// [`k_shortest_paths`] with every link for which `down` holds removed
-/// (failed links, for the failure-aware routers).
-///
-/// Returns fewer than `k` paths when the graph does not contain that many
-/// simple paths. `src == dst` yields the empty set.
-pub fn k_shortest_paths_avoiding<F>(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-    down: F,
-) -> Vec<Path>
-where
-    F: Fn(LinkId) -> bool,
-{
-    Yen::new(g).paths_avoiding(g, src, dst, k, down)
-}
-
-/// [`k_shortest_paths`] plus the run's **footprint**: every link used by
-/// any path the algorithm examined — the selected paths *and* every
-/// candidate spur path generated along the way — sorted by id, deduped.
-///
-/// The footprint is the exact reuse certificate for route caches: if no
-/// footprint link is removed from the graph, re-running Yen on the
-/// pruned graph returns bit-identical paths, because every spur search
-/// of the original run found a path that still exists (the hop search
-/// returns the same path when its result survives pruning: removing
-/// links off that path changes no node's level or lowest-id
-/// predecessor along it, so every candidate pool — and therefore every
-/// selection — is reproduced unchanged). If a removed link only avoids
-/// the *selected* paths, an equal-length candidate replacement can still
-/// win a tie-break and change the output, so caches must key on the full
-/// footprint, not the selection.
-pub fn k_shortest_paths_with_footprint(
-    g: &Graph,
-    src: NodeId,
-    dst: NodeId,
-    k: usize,
-) -> (Vec<Path>, Vec<LinkId>) {
-    Yen::new(g).paths_with_footprint(g, src, dst, k)
-}
 
 /// Yen's order on paths: hop count, then node sequence.
 fn by_hops_then_nodes(a: &Path, b: &Path) -> Ordering {
@@ -101,7 +54,12 @@ impl Yen {
         }
     }
 
-    /// [`k_shortest_paths_avoiding`] on this engine's graph.
+    /// The k shortest loopless paths by hop count, with every link for
+    /// which `down` holds removed (failed links, for the failure-aware
+    /// routers).
+    ///
+    /// Returns fewer than `k` paths when the graph does not contain that
+    /// many simple paths. `k == 0` or `src == dst` yields the empty set.
     pub fn paths_avoiding<F>(
         &mut self,
         g: &Graph,
@@ -116,7 +74,23 @@ impl Yen {
         self.run(g, src, dst, k, down, None)
     }
 
-    /// [`k_shortest_paths_with_footprint`] on this engine's graph.
+    /// The k shortest loopless paths with every link up, plus the run's
+    /// **footprint**: every link used by any path the algorithm
+    /// examined — the selected paths *and* every candidate spur path
+    /// generated along the way — sorted by id, deduped.
+    ///
+    /// The footprint is the exact reuse certificate for route caches: if
+    /// no footprint link is removed from the graph, re-running Yen on
+    /// the pruned graph returns bit-identical paths, because every spur
+    /// search of the original run found a path that still exists (the
+    /// hop search returns the same path when its result survives
+    /// pruning: removing links off that path changes no node's level or
+    /// lowest-id predecessor along it, so every candidate pool — and
+    /// therefore every selection — is reproduced unchanged). If a
+    /// removed link only avoids the *selected* paths, an equal-length
+    /// candidate replacement can still win a tie-break and change the
+    /// output, so caches must key on the full footprint, not the
+    /// selection.
     pub fn paths_with_footprint(
         &mut self,
         g: &Graph,
@@ -268,6 +242,10 @@ mod tests {
     use super::*;
     use crate::graph::NodeKind;
 
+    fn ksp(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Path> {
+        Yen::new(g).paths_avoiding(g, src, dst, k, |_| false)
+    }
+
     /// Classic Yen example graph (directed interpretation of the wiki
     /// example would need weights; we use a small mesh instead).
     fn mesh() -> (Graph, [NodeId; 6]) {
@@ -297,7 +275,7 @@ mod tests {
     #[test]
     fn first_path_matches_dijkstra() {
         let (g, [c, .., h]) = mesh();
-        let ps = k_shortest_paths(&g, c, h, 1);
+        let ps = ksp(&g, c, h, 1);
         let sp = crate::dijkstra::shortest_path(&g, c, h).unwrap();
         assert_eq!(ps[0], sp);
     }
@@ -305,7 +283,7 @@ mod tests {
     #[test]
     fn paths_are_sorted_simple_and_distinct() {
         let (g, [c, .., h]) = mesh();
-        let ps = k_shortest_paths(&g, c, h, 10);
+        let ps = ksp(&g, c, h, 10);
         assert!(ps.len() >= 3);
         for w in ps.windows(2) {
             assert!(w[0].len() <= w[1].len(), "not sorted by length");
@@ -321,8 +299,8 @@ mod tests {
     #[test]
     fn k_zero_and_same_endpoint() {
         let (g, [c, .., h]) = mesh();
-        assert!(k_shortest_paths(&g, c, h, 0).is_empty());
-        assert!(k_shortest_paths(&g, c, c, 5).is_empty());
+        assert!(ksp(&g, c, h, 0).is_empty());
+        assert!(ksp(&g, c, c, 5).is_empty());
     }
 
     #[test]
@@ -331,7 +309,7 @@ mod tests {
         let a = g.add_node(NodeKind::GenericSwitch, "a");
         let b = g.add_node(NodeKind::GenericSwitch, "b");
         g.add_duplex_link(a, b, 1.0);
-        let ps = k_shortest_paths(&g, a, b, 8);
+        let ps = ksp(&g, a, b, 8);
         assert_eq!(ps.len(), 1);
     }
 
@@ -346,7 +324,7 @@ mod tests {
         g.add_duplex_link(s, b, 1.0);
         g.add_duplex_link(a, t, 1.0);
         g.add_duplex_link(b, t, 1.0);
-        let ps = k_shortest_paths(&g, s, t, 4);
+        let ps = ksp(&g, s, t, 4);
         assert_eq!(ps.len(), 2);
         assert_eq!(ps[0].nodes, vec![s, a, t]);
         assert_eq!(ps[1].nodes, vec![s, b, t]);

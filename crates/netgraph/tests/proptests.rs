@@ -98,7 +98,7 @@ proptest! {
         let g = random_connected(n, extra, seed);
         let src = NodeId(0);
         let dst = NodeId(n as u32 - 1);
-        let paths = yen::k_shortest_paths(&g, src, dst, k);
+        let paths = yen::Yen::new(&g).paths_avoiding(&g, src, dst, k, |_| false);
         prop_assert!(!paths.is_empty(), "connected graph must have a path");
         prop_assert!(paths.len() <= k);
         let spl = dijkstra::hop_distance(&g, src, dst).unwrap();
@@ -215,7 +215,7 @@ proptest! {
         let g = random_connected(n, extra, seed);
         let src = NodeId(0);
         let dst = NodeId(n as u32 - 1);
-        let got = yen::k_shortest_paths(&g, src, dst, k);
+        let got = yen::Yen::new(&g).paths_avoiding(&g, src, dst, k, |_| false);
         let mut all = all_simple_paths(&g, src, dst);
         all.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
         let want_hops: Vec<usize> = all.iter().take(k).map(|p| p.len() - 1).collect();
@@ -239,7 +239,8 @@ proptest! {
         let g = random_connected(n, extra, seed);
         let src = NodeId(0);
         let dst = NodeId(n as u32 - 1);
-        let (base, fp) = yen::k_shortest_paths_with_footprint(&g, src, dst, k);
+        let mut yen = yen::Yen::new(&g);
+        let (base, fp) = yen.paths_with_footprint(&g, src, dst, k);
         prop_assert!(fp.windows(2).all(|w| w[0].idx() < w[1].idx()), "sorted, deduped");
         let fpset: std::collections::HashSet<_> = fp.iter().copied().collect();
         for p in &base {
@@ -248,7 +249,7 @@ proptest! {
             }
         }
         for dead in g.link_ids().filter(|l| !fpset.contains(l)).take(6) {
-            let masked = yen::k_shortest_paths_avoiding(&g, src, dst, k, |l| l == dead);
+            let masked = yen.paths_avoiding(&g, src, dst, k, |l| l == dead);
             prop_assert_eq!(&masked, &base, "non-footprint mask changed the output");
         }
     }

@@ -257,12 +257,13 @@ proptest! {
             .map(|_| rng.gen_range(0u32..100) < mask_pct)
             .collect();
 
-        let got = yen::k_shortest_paths_avoiding(&g, src, dst, k, |l| down[l.idx()]);
+        let mut yen = yen::Yen::new(&g);
+        let got = yen.paths_avoiding(&g, src, dst, k, |l| down[l.idx()]);
         let len = |l: LinkId| if down[l.idx()] { f64::INFINITY } else { 1.0 };
         let want = yen_core(&g, src, dst, k, len, None);
         prop_assert_eq!(got, want);
 
-        let (got, got_fp) = yen::k_shortest_paths_with_footprint(&g, src, dst, k);
+        let (got, got_fp) = yen.paths_with_footprint(&g, src, dst, k);
         let mut want_fp = Vec::new();
         let want = yen_core(&g, src, dst, k, |_| 1.0, Some(&mut want_fp));
         want_fp.sort_unstable_by_key(|l| l.idx());

@@ -91,14 +91,6 @@ impl Histogram {
         Self::index(v)
     }
 
-    /// Lower-bound value of bucket `i` (the value [`percentile`]
-    /// reports for samples in that bucket). 0 for the underflow bucket.
-    ///
-    /// [`percentile`]: Histogram::percentile
-    pub fn bucket_lower_bound(i: usize) -> f64 {
-        Self::bucket_value(i)
-    }
-
     /// Records one sample. Negative, zero, and non-finite samples count
     /// in the underflow bucket (they still bump `count`).
     pub fn record(&mut self, v: f64) {
@@ -222,11 +214,6 @@ impl Metrics {
         }
     }
 
-    /// Increments the named counter by one.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
-    }
-
     /// Sets the named gauge. Panics if `name` is another instrument
     /// kind.
     pub fn gauge(&mut self, name: &str, value: f64) {
@@ -321,7 +308,7 @@ mod tests {
     #[test]
     fn counters_and_gauges() {
         let mut m = Metrics::new();
-        m.incr("cells");
+        m.add("cells", 1);
         m.add("cells", 4);
         m.gauge("peak_rss", 123.0);
         m.gauge("peak_rss", 456.0);
@@ -388,7 +375,7 @@ mod tests {
         );
         // The bucket itself must be a lower bound too.
         let b = Histogram::bucket_index(just_below);
-        assert!(Histogram::bucket_lower_bound(b) <= just_below);
+        assert!(Histogram::bucket_value(b) <= just_below);
         // And across a spread of awkward values.
         let mut h = Histogram::new();
         for i in 1..=64u32 {
@@ -412,7 +399,7 @@ mod tests {
         // One sample: every p reports that sample's bucket lower bound.
         let mut h = Histogram::new();
         h.record(3.0);
-        let expect = Histogram::bucket_lower_bound(Histogram::bucket_index(3.0));
+        let expect = Histogram::bucket_value(Histogram::bucket_index(3.0));
         for p in [-1.0, 0.0, 50.0, 100.0, 101.0, f64::NAN] {
             assert_eq!(h.percentile(p), expect, "p = {p}");
         }
@@ -440,7 +427,7 @@ mod tests {
         for &v in &values {
             let i = Histogram::bucket_index(v);
             assert!(i >= last, "index must be monotone at {v}");
-            assert!(Histogram::bucket_lower_bound(i) > 0.0);
+            assert!(Histogram::bucket_value(i) > 0.0);
             last = i;
         }
         assert_eq!(Histogram::bucket_index(0.0), 0);
@@ -460,7 +447,7 @@ mod tests {
     #[test]
     fn summary_json_is_deterministic_and_ordered() {
         let mut m = Metrics::new();
-        m.incr("b_second");
+        m.add("b_second", 1);
         m.gauge("a_first", 1.5);
         m.record("lat_ms", 10.0);
         let a = m.summary_json();

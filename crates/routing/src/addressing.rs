@@ -172,13 +172,6 @@ impl AddressPlan {
             .map(|v| v.iter().filter(|a| a.mode == mode).copied().collect())
             .unwrap_or_default()
     }
-
-    /// Total configured addresses (the naive flat scheme would use
-    /// `ceil(sqrt(k))` per server per mode too, but without aggregation
-    /// structure; this count drives the §4.2.1 probing-overhead note).
-    pub fn total_addresses(&self) -> usize {
-        self.server_addrs.values().map(|v| v.len()).sum()
-    }
 }
 
 /// Checks the aggregation invariant used by ingress-switch prefix rules:
@@ -306,7 +299,6 @@ mod tests {
         for addrs in plan.server_addrs.values() {
             assert_eq!(addrs.len(), 8);
         }
-        assert_eq!(plan.total_addresses(), 64 * 8);
         // Relocated server's global-mode address names its *core* switch.
         let s = insts[0].edge_servers[0][0];
         let addr = plan.addresses(s, TopologyModeId::Global)[0];

@@ -1,11 +1,11 @@
 //! Routing and control-state machinery for flat-tree networks (§4).
 //!
-//! * [`ksp`] — k-shortest-path route tables. Per §4.2.1's Observations 1
-//!   and 2, paths are computed and cached at the **ingress/egress switch**
+//! * [`ksp`] — server-uplink splicing. Per §4.2.1's Observations 1 and
+//!   2, paths are computed and cached at the **ingress/egress switch**
 //!   level and spliced with the single server uplinks, which is both the
 //!   paper's state-reduction trick and a large computational win.
-//! * [`plane`] — the shared route plane: an immutable, fully-precomputed
-//!   switch-pair table built in parallel (deterministically). Each slot
+//! * [`plane`] — the route plane: the one switch-pair table, precomputed
+//!   in parallel (deterministically) or filled pair by pair. Each slot
 //!   keeps its Yen footprint, the exact certificate for reusing the
 //!   entry while links are down.
 //! * [`addressing`] — the flat-tree IPv4 address layout of Figure 5:
@@ -28,6 +28,5 @@ pub mod rules;
 pub mod source_routing;
 
 pub use addressing::{AddressPlan, FlatTreeAddress, TopologyModeId};
-pub use ksp::RouteTable;
 pub use plane::SharedRouteTable;
 pub use rules::{Rule, RuleMatch, RuleSet, StateAnalysis};

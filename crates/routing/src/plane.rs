@@ -1,21 +1,21 @@
-//! The shared route plane: a fully-precomputed, immutable switch-pair
-//! k-shortest-path table.
+//! The shared route plane: the one switch-pair k-shortest-path table.
 //!
-//! [`crate::RouteTable`] fills its switch-pair cache lazily and is owned
-//! by one simulation. Experiment sweeps run many simulations over the
-//! same `(topology, mode, k)` though, each re-deriving the identical
-//! table. [`SharedRouteTable`] precomputes every ingress-pair path set
+//! Experiment sweeps run many simulations over the same `(topology,
+//! mode, k)`, each of which would re-derive the identical switch-pair
+//! paths. [`SharedRouteTable`] precomputes every ingress-pair path set
 //! once — in parallel, with output independent of the worker count — and
 //! is then shared immutably (typically behind an `Arc`) across cells,
-//! threads, and verifier passes.
+//! threads, and verifier passes. A private table can also be filled one
+//! pair at a time ([`SharedRouteTable::entry_or_compute`]) when the
+//! pairs are not known up front.
 //!
-//! Each slot stores the same entry the lazy table caches: the selected
-//! paths plus the link **footprint** of their Yen run (selected *and*
-//! candidate paths). The table never mutates under failures. A reader
-//! reuses an entry when no footprint link is down — the paths are then
-//! provably bit-identical to a failure-aware recomputation (see
-//! [`netgraph::yen::k_shortest_paths_with_footprint`]) — and re-runs a
-//! masked Yen otherwise. `flowsim`'s `MptcpProvider` is that reader.
+//! Each slot stores the selected paths plus the link **footprint** of
+//! their Yen run (selected *and* candidate paths). The table never
+//! mutates under failures. A reader reuses an entry when no footprint
+//! link is down — the paths are then provably bit-identical to a
+//! failure-aware recomputation (see
+//! [`netgraph::yen::Yen::paths_with_footprint`]) — and re-runs a masked
+//! Yen otherwise. `flowsim`'s `MptcpProvider` is that reader.
 
 use crate::ksp::{rack_path, splice_server_pair, PairEntry};
 use netgraph::{yen::Yen, Graph, LinkId, NodeId, Path};
@@ -65,13 +65,7 @@ impl SharedRouteTable {
 
     /// Precomputes the full ingress-pair table with one worker per CPU.
     pub fn build(g: &Graph, k: usize) -> Self {
-        Self::build_with_threads(g, k, default_threads())
-    }
-
-    /// [`SharedRouteTable::build`] with an explicit worker count. The
-    /// result is identical for every worker count.
-    pub fn build_with_threads(g: &Graph, k: usize, threads: usize) -> Self {
-        Self::build_for_pairs_with_threads(g, k, &Self::ingress_pairs(g), threads)
+        Self::build_for_pairs(g, k, &Self::ingress_pairs(g))
     }
 
     /// Precomputes a table restricted to the given switch pairs (deduped,
@@ -126,6 +120,25 @@ impl SharedRouteTable {
         self.pair_index
             .get(&(a, b))
             .map(|&i| self.entries[i].parts())
+    }
+
+    /// A switch pair's entry, computed with `yen` (an engine for `g`) and
+    /// stored on the first call for the pair: the lazy fill for pairs
+    /// outside a precomputed domain. The entry equals the one
+    /// [`SharedRouteTable::build_for_pairs`] stores for the pair.
+    pub fn entry_or_compute(
+        &mut self,
+        yen: &mut Yen,
+        g: &Graph,
+        a: NodeId,
+        b: NodeId,
+    ) -> (&[Path], &[LinkId]) {
+        let next = self.entries.len();
+        let i = *self.pair_index.entry((a, b)).or_insert(next);
+        if i == next {
+            self.entries.push(PairEntry::compute(yen, g, a, b, self.k));
+        }
+        self.entries[i].parts()
     }
 
     /// The precomputed paths for a covered switch pair; `None` when the
@@ -226,27 +239,35 @@ mod tests {
     fn matches_lazy_route_table() {
         let g = mini_global();
         let table = SharedRouteTable::build(&g, 4);
-        let mut rt = crate::RouteTable::new(4);
+        let mut lazy = SharedRouteTable::empty(4);
+        let mut yen = Yen::new(&g);
         assert!(table.pair_count() > 0);
         let servers = g.servers();
         for (a, b) in [(0usize, 17), (3, 40), (12, 5)] {
-            let want = rt.server_paths(&g, servers[a], servers[b]);
-            let got = table.server_paths(&g, servers[a], servers[b]).unwrap();
+            let (src, dst) = (servers[a], servers[b]);
+            let want = yen.paths_avoiding(&g, src, dst, 4, |_| false);
+            let got = table.server_paths(&g, src, dst).unwrap();
             assert_eq!(got, want);
         }
-        // Each slot holds exactly the lazy table's (paths, footprint).
+        // Each slot holds exactly a direct Yen run's (paths, footprint),
+        // and the lazy fill stores the same entry.
         for &(a, b) in &SharedRouteTable::ingress_pairs(&g)[..8] {
-            let lazy = rt.switch_paths_with_footprint(&g, a, b);
-            assert_eq!(table.entry(a, b), Some(lazy));
+            let (paths, footprint) = yen.paths_with_footprint(&g, a, b, 4);
+            let want = Some((&paths[..], &footprint[..]));
+            assert_eq!(table.entry(a, b), want);
+            assert_eq!(Some(lazy.entry_or_compute(&mut yen, &g, a, b)), want);
         }
+        assert_eq!(lazy.pair_count(), 8);
     }
 
     #[test]
     fn worker_count_does_not_change_output() {
         let g = mini_global();
-        let one = SharedRouteTable::build_with_threads(&g, 4, 1);
+        let pairs = SharedRouteTable::ingress_pairs(&g);
+        let one = SharedRouteTable::build_for_pairs_with_threads(&g, 4, &pairs, 1);
         for threads in [2, 3, 8] {
-            assert_eq!(SharedRouteTable::build_with_threads(&g, 4, threads), one);
+            let many = SharedRouteTable::build_for_pairs_with_threads(&g, 4, &pairs, threads);
+            assert_eq!(many, one);
         }
     }
 

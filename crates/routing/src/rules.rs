@@ -14,7 +14,7 @@
 //! rule-addition terms of the Table 3 conversion-delay model.
 
 use crate::addressing::TopologyModeId;
-use crate::ksp::RouteTable;
+use crate::SharedRouteTable;
 use netgraph::{Graph, NodeId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -137,7 +137,7 @@ pub struct RuleDiff {
 /// `k` is the number of concurrent paths. Ingress switches are all
 /// switches with at least one attached server.
 pub fn compile_ip_rules(g: &Graph, k: usize, mode: TopologyModeId) -> RuleSet {
-    let mut rt = RouteTable::new(k);
+    let table = SharedRouteTable::build(g, k);
     let mut set = RuleSet::default();
     // Ingress switches and their servers in id order.
     let mut ingress: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
@@ -172,7 +172,7 @@ pub fn compile_ip_rules(g: &Graph, k: usize, mode: TopologyModeId) -> RuleSet {
             if a == b {
                 continue;
             }
-            let paths = rt.switch_paths(g, a, b).to_vec();
+            let paths = table.switch_paths(a, b).expect("ingress pair");
             #[cfg(feature = "strict-invariants")]
             debug_assert!(
                 !paths.is_empty(),
@@ -212,7 +212,7 @@ pub fn compile_source_routing_rules(
     diameter: usize,
     mode: TopologyModeId,
 ) -> RuleSet {
-    let mut rt = RouteTable::new(k);
+    let table = SharedRouteTable::build(g, k);
     let mut set = RuleSet::default();
     // Static transit rules: identical on every switch; the out_port equals
     // the matched port byte (the rule semantics of §4.2.2).
@@ -244,7 +244,7 @@ pub fn compile_source_routing_rules(
             if a == b {
                 continue;
             }
-            let n_paths = rt.switch_paths(g, a, b).len();
+            let n_paths = table.switch_paths(a, b).expect("ingress pair").len();
             let entry = set.per_switch.entry(a).or_default();
             for pid in 0..n_paths {
                 entry.insert(Rule {

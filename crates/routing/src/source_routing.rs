@@ -11,7 +11,7 @@
 //! count), independent of the topology mode, so these rules are installed
 //! once and survive conversion.
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 use netgraph::{Graph, NodeId, Path};
 use serde::{Deserialize, Serialize};
 
@@ -40,13 +40,6 @@ pub fn encode_ports(ports: &[u8]) -> [u8; 6] {
         buf.put_u8(p);
     }
     mac
-}
-
-/// Decodes the first `n` hop ports back out of a MAC address.
-pub fn decode_ports(mac: &[u8; 6], n: usize) -> Vec<u8> {
-    assert!(n <= MAX_HOPS);
-    let mut buf = &mac[..];
-    (0..n).map(|_| buf.get_u8()).collect()
 }
 
 /// The byte mask a switch applies at a given TTL (cf. the paper's example:
@@ -130,14 +123,25 @@ pub fn forward(
 }
 
 /// Number of static OpenFlow rules per transit switch: one per
-/// (TTL, output port) combination (§4.2.2: `D × C`).
-pub fn transit_rules_per_switch(diameter: usize, port_count: usize) -> usize {
+/// (TTL, output port) combination (§4.2.2: `D × C`), pinning the paper's
+/// rule budget.
+#[cfg(test)]
+fn transit_rules_per_switch(diameter: usize, port_count: usize) -> usize {
     diameter * port_count
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Buf;
+
+    /// Decodes the first `n` hop ports back out of a MAC address: the
+    /// reference `encode_ports` is checked against.
+    fn decode_ports(mac: &[u8; 6], n: usize) -> Vec<u8> {
+        assert!(n <= MAX_HOPS);
+        let mut buf = &mac[..];
+        (0..n).map(|_| buf.get_u8()).collect()
+    }
     use netgraph::NodeKind;
 
     fn line() -> (Graph, Path) {

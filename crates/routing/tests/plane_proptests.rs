@@ -1,7 +1,7 @@
 //! Property tests for the shared route plane: the parallel build is
-//! bit-identical for every worker count.
+//! bit-identical for every worker count and to a pair-by-pair fill.
 
-use netgraph::{Graph, NodeId, NodeKind};
+use netgraph::{yen::Yen, Graph, NodeId, NodeKind};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -45,7 +45,8 @@ fn some_pairs(n: usize) -> Vec<(NodeId, NodeId)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// One worker and N workers build bit-identical tables.
+    /// One worker and N workers build bit-identical tables, and filling
+    /// the pairs one at a time stores the same slots.
     #[test]
     fn build_is_independent_of_worker_count(
         n in 4usize..12, extra in 0usize..10, seed in any::<u64>(), k in 1usize..6
@@ -57,5 +58,11 @@ proptest! {
             let many = SharedRouteTable::build_for_pairs_with_threads(&g, k, &pairs, threads);
             prop_assert_eq!(&many, &one, "threads = {}", threads);
         }
+        let mut lazy = SharedRouteTable::empty(k);
+        let mut yen = Yen::new(&g);
+        for &(a, b) in &pairs {
+            prop_assert_eq!(Some(lazy.entry_or_compute(&mut yen, &g, a, b)), one.entry(a, b));
+        }
+        prop_assert_eq!(&lazy, &one, "ascending fill order reproduces the built table");
     }
 }

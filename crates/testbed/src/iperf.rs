@@ -16,7 +16,7 @@
 use crate::rig::TestbedRig;
 use flat_tree::{ModeAssignment, PodMode};
 use flowsim::alloc::{connection_rates, ConnPaths};
-use routing::RouteTable;
+use routing::SharedRouteTable;
 use serde::{Deserialize, Serialize};
 
 /// One mode segment of the experiment timeline.
@@ -133,12 +133,19 @@ pub fn steady_state_gbps_with_k(rig: &TestbedRig, mode: PodMode, k: usize) -> f6
     let inst = rig.instance(mode);
     let g = &inst.net.graph;
     let per_pod = inst.net.pod_servers[0].len();
-    let pairs = counterpart_pairs(inst.net.num_pods(), per_pod);
-    let mut rt = RouteTable::new(k);
+    let pairs: Vec<_> = counterpart_pairs(inst.net.num_pods(), per_pod)
+        .into_iter()
+        .map(|(s, d)| (inst.net.servers[s], inst.net.servers[d]))
+        .collect();
+    let uplink = |s| g.server_uplink_switch(s).expect("rig servers are attached");
+    let switch_pairs: Vec<_> = pairs.iter().map(|&(s, d)| (uplink(s), uplink(d))).collect();
+    let table = SharedRouteTable::build_for_pairs(g, k, &switch_pairs);
     let conns: Vec<ConnPaths> = pairs
         .iter()
         .map(|&(s, d)| {
-            let paths = rt.server_paths(g, inst.net.servers[s], inst.net.servers[d]);
+            let paths = table
+                .server_paths(g, s, d)
+                .expect("counterpart pair in the table");
             let w = 1.0 / paths.len().max(1) as f64;
             ConnPaths {
                 paths,

@@ -77,29 +77,6 @@ pub fn clustered_all_to_all(num_servers: usize, cluster: usize) -> Vec<(usize, u
     pairs
 }
 
-/// A random subset of clusters for scaled-down runs: keeps experiment
-/// cost bounded while preserving the pattern's locality structure.
-pub fn sample_clusters(
-    pairs: Vec<(usize, usize)>,
-    cluster: usize,
-    keep: usize,
-    seed: u64,
-) -> Vec<(usize, usize)> {
-    let mut by_cluster: std::collections::BTreeMap<usize, Vec<(usize, usize)>> =
-        std::collections::BTreeMap::new();
-    for p in pairs {
-        by_cluster.entry(p.0 / cluster).or_default().push(p);
-    }
-    let mut keys: Vec<usize> = by_cluster.keys().copied().collect();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    keys.shuffle(&mut rng);
-    keys.truncate(keep);
-    keys.sort();
-    keys.into_iter()
-        .flat_map(|k| by_cluster.remove(&k).unwrap())
-        .collect()
-}
-
 /// Caps each server's *outgoing* flow count at `max_out` by random
 /// subsampling (per-server, seeded). Keeps every server active and the
 /// locality structure intact while bounding LP/simulation cost.
@@ -183,15 +160,5 @@ mod tests {
         }
         assert!(out.values().all(|&c| c == 5));
         assert_eq!(out.len(), 60, "every server stays active");
-    }
-
-    #[test]
-    fn cluster_sampling_keeps_whole_clusters() {
-        let pairs = clustered_all_to_all(100, 10);
-        let sampled = sample_clusters(pairs, 10, 3, 5);
-        assert_eq!(sampled.len(), 3 * 10 * 9);
-        let clusters: std::collections::HashSet<usize> =
-            sampled.iter().map(|&(s, _)| s / 10).collect();
-        assert_eq!(clusters.len(), 3);
     }
 }

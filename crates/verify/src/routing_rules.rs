@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// The ingress switches of an instance (every switch with a server),
 /// with one representative server each, ascending by node id.
-pub fn ingress_switches(inst: &FlatTreeInstance) -> BTreeMap<NodeId, NodeId> {
+fn ingress_switches(inst: &FlatTreeInstance) -> BTreeMap<NodeId, NodeId> {
     let mut out = BTreeMap::new();
     for &s in &inst.net.servers {
         out.entry(inst.ingress_switch(s)).or_insert(s);

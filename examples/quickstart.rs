@@ -6,7 +6,7 @@
 use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
 use flowsim::{simulate, FlowSpec, SimConfig, Transport};
 use netgraph::metrics;
-use routing::RouteTable;
+use routing::SharedRouteTable;
 use topology::ClosParams;
 
 fn main() {
@@ -41,8 +41,10 @@ fn main() {
     // 4. Route a server pair over the global mode's 8 shortest paths.
     let global = ft.instantiate(&ModeAssignment::uniform(ft.pods(), PodMode::Global));
     let (src, dst) = (global.net.servers[0], global.net.servers[63]);
-    let mut rt = RouteTable::new(8);
-    let paths = rt.server_paths(&global.net.graph, src, dst);
+    let table = SharedRouteTable::build(&global.net.graph, 8);
+    let paths = table
+        .server_paths(&global.net.graph, src, dst)
+        .expect("attached servers");
     println!(
         "k-shortest paths {:?} -> {:?}: {} paths, lengths {:?}",
         src,

@@ -5,7 +5,7 @@ use flat_tree::PodMode;
 use flowsim::{simulate, SimConfig, Transport};
 use ft_bench::experiments::common;
 use ft_bench::Scale;
-use routing::RouteTable;
+use routing::SharedRouteTable;
 use traffic::traces::TraceParams;
 
 #[test]
@@ -15,10 +15,10 @@ fn build_route_simulate_mini_topo1() {
         let inst = common::instance(&ft, mode);
         inst.net.validate().unwrap();
         // Route a few pairs at k = 8.
-        let mut rt = RouteTable::new(8);
+        let table = SharedRouteTable::build(&inst.net.graph, 8);
         let s = inst.net.servers[0];
         let d = inst.net.servers[inst.net.num_servers() - 1];
-        let paths = rt.server_paths(&inst.net.graph, s, d);
+        let paths = table.server_paths(&inst.net.graph, s, d).unwrap();
         assert!(!paths.is_empty() && paths.len() <= 8);
         for p in &paths {
             p.validate(&inst.net.graph).unwrap();
