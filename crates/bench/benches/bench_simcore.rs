@@ -50,7 +50,7 @@ fn workload(net: &DcNetwork, rounds: u64) -> Vec<flowsim::FlowSpec> {
 
 /// Deterministic synthetic groups (8 subflows, 3–5 links each) over a
 /// fixed link range, mimicking the engine's MPTCP churn.
-fn churn_groups(n_links: usize, n_groups: usize) -> Vec<Vec<Vec<usize>>> {
+fn subflow_groups(n_links: usize, n_groups: usize) -> Vec<Vec<Vec<usize>>> {
     let mut state = 0x9e37_79b9_7f4a_7c15_u64;
     let mut next = move || {
         state = state
@@ -80,7 +80,7 @@ fn bench_alloc_churn(c: &mut Criterion) {
     const RESIDENT: usize = 64;
     const STEPS: usize = 256;
     let caps = vec![10.0f64; LINKS];
-    let groups = churn_groups(LINKS, RESIDENT + STEPS);
+    let groups = subflow_groups(LINKS, RESIDENT + STEPS);
     c.bench_function("simcore/alloc_incremental_churn", |b| {
         b.iter(|| {
             let mut a = IncrementalAllocator::new();

@@ -28,7 +28,7 @@ use crate::sweep::sweep;
 use crate::Scale;
 use control::resilient::RetryPolicy;
 use flat_tree::{ConverterConfig, FlatTree, ModeAssignment, PodMode};
-use flowsim::faults::{ControlFaults, FaultPlan, StuckConfig};
+use flowsim::faults::{ControlFaults, FaultPlan};
 use flowsim::{FailedLinks, SimConfig, Transport};
 use netgraph::{Graph, LinkId, NodeId};
 use serde::{Deserialize, Serialize};
@@ -442,12 +442,12 @@ fn stuck_cell(scale: Scale, n: usize) -> (usize, f64) {
     let cfg = sim_config();
     let mut plan = FaultPlan::new(scale.seed);
     for c in 0..n {
-        plan.stuck_converter(c, StuckConfig::Default);
+        plan.stuck_converter(c, ConverterConfig::Default);
     }
     let overrides: Vec<(usize, ConverterConfig)> = plan
         .stuck_converters
         .iter()
-        .map(|s| (s.converter, to_converter_config(s.config)))
+        .map(|s| (s.converter, s.config))
         .collect();
     let inst = ft.instantiate_with_overrides(&global, &overrides);
     let pairs_idx = traffic::patterns::permutation(inst.net.num_servers(), scale.seed);
@@ -573,7 +573,7 @@ where
             let to = ModeAssignment::uniform(pods, PodMode::Global);
             let out = rig
                 .controller
-                .convert_resilient(&to, &policy, faults)
+                .convert_resilient(&to, &policy, faults, &mut obs::NoopSink)
                 .expect("valid fault levels");
             ConversionPoint {
                 level: label.to_string(),
@@ -589,15 +589,6 @@ where
         degradation,
         stuck,
         conversion,
-    }
-}
-
-fn to_converter_config(c: StuckConfig) -> ConverterConfig {
-    match c {
-        StuckConfig::Default => ConverterConfig::Default,
-        StuckConfig::Local => ConverterConfig::Local,
-        StuckConfig::Side => ConverterConfig::Side,
-        StuckConfig::Cross => ConverterConfig::Cross,
     }
 }
 

@@ -8,7 +8,7 @@
 //! layout, or float formatting fails here and must be deliberate.
 
 use control::conversion::DelayModel;
-use control::resilient::{run_conversion_traced, ConversionWork, RetryPolicy};
+use control::resilient::{run_conversion, ConversionWork, RetryPolicy};
 use flat_tree::PodMode;
 use flowsim::faults::ControlFaults;
 use flowsim::faults::FaultPlan;
@@ -119,8 +119,7 @@ fn traced_conversion_jsonl() -> Vec<u8> {
         ..RetryPolicy::default()
     };
     let mut sink = JsonlSink::new(Vec::new());
-    run_conversion_traced(&work, "clos", "global", &policy, &faults, &mut sink)
-        .expect("valid conversion");
+    run_conversion(&work, "clos", "global", &policy, &faults, &mut sink).expect("valid conversion");
     assert!(sink.take_error().is_none());
     sink.into_inner().expect("vec sink cannot fail")
 }

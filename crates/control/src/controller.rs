@@ -8,16 +8,17 @@
 //!
 //! Accordingly, [`Controller`] precompiles — per mode assignment — the
 //! instantiated graph, the converter configurations, and the OpenFlow
-//! rule set, then executes conversions by diffing the cached artifacts.
+//! rule set, then executes conversions by running the diff of the cached
+//! artifacts through the staged state machine ([`crate::resilient`]).
 
 use crate::conversion::{ConversionReport, DelayModel};
-use crate::distributed::PerSwitchChurn;
 use crate::resilient::{
-    run_conversion_traced, ConversionError, ConversionOutcome, ConversionStatus, ConversionWork,
+    run_conversion, ConversionError, ConversionOutcome, ConversionStatus, ConversionWork,
     RetryPolicy,
 };
 use flat_tree::{FlatTree, FlatTreeInstance, ModeAssignment, PodMode};
 use flowsim::faults::ControlFaults;
+use obs::{NoopSink, TraceSink};
 use parking_lot::RwLock;
 use routing::addressing::TopologyModeId;
 use routing::rules::{compile_ip_rules, RuleSet};
@@ -93,88 +94,13 @@ impl Controller {
         art
     }
 
-    /// Converts the network to a new assignment, returning the delay
-    /// breakdown. The conversion pipeline is the testbed's (§5.3):
-    /// reconfigure the OCS partitions, delete stale rules, add new rules.
-    pub fn convert(&self, to: &ModeAssignment) -> ConversionReport {
-        let from = self.current_assignment();
-        let old = self.artifacts(&from);
+    /// The work of converting `from` to `to`: the converters whose
+    /// crosspoint configuration changes and the `(deletes, adds)` rule
+    /// churn per switch, the plan the staged state machine executes.
+    pub fn work(&self, from: &ModeAssignment, to: &ModeAssignment) -> ConversionWork {
+        let old = self.artifacts(from);
         let new = self.artifacts(to);
-        let crosspoints = old
-            .instance
-            .configs
-            .iter()
-            .zip(&new.instance.configs)
-            .filter(|(a, b)| a != b)
-            .count();
-        let diff = old.rules.diff(&new.rules);
-        #[cfg(feature = "strict-invariants")]
-        {
-            let v = flat_tree::invariants::conversion_delta_violations(
-                &self.ft,
-                &old.instance,
-                &new.instance,
-            );
-            debug_assert!(
-                v.is_empty(),
-                "conversion touches non-converter links: {v:?}"
-            );
-        }
-        *self.current.write() = to.clone();
-        ConversionReport {
-            from: from.label(),
-            to: to.label(),
-            crosspoints_changed: crosspoints,
-            rules_deleted: diff.deletes,
-            rules_added: diff.adds,
-            ocs_ms: if crosspoints > 0 {
-                self.delay.ocs_ms
-            } else {
-                0.0
-            },
-            delete_ms: diff.deletes as f64 * self.delay.per_rule_delete_ms,
-            add_ms: diff.adds as f64 * self.delay.per_rule_add_ms,
-        }
-    }
-
-    /// Converts the network to a new assignment through the staged,
-    /// fault-tolerant state machine ([`crate::resilient`]): OCS
-    /// reconfigure, rule delete, rule add — per shard, with per-stage
-    /// retry/backoff drawn from `faults` and rollback to the current
-    /// mode on persistent failure. The target assignment is committed
-    /// iff the outcome is [`ConversionStatus::Committed`]; on
-    /// `RolledBack` the controller keeps the old mode, and on `Degraded`
-    /// it also keeps the old mode label while the outcome flags the
-    /// network as needing intervention.
-    ///
-    /// With [`ControlFaults::none`] and one shard this reduces exactly
-    /// to [`Controller::convert`]: same report, same total delay, and
-    /// the assignment is committed.
-    pub fn convert_resilient(
-        &self,
-        to: &ModeAssignment,
-        policy: &RetryPolicy,
-        faults: &ControlFaults,
-    ) -> Result<ConversionOutcome, ConversionError> {
-        self.convert_resilient_traced(to, policy, faults, &mut obs::NoopSink)
-    }
-
-    /// [`Controller::convert_resilient`] with a caller-supplied
-    /// [`obs::TraceSink`] receiving the conversion timeline
-    /// (`ConvStart` / `ConvAttempt` / `ConvStage` / `ConvEnd`). The
-    /// outcome — including every fault draw — is identical with any
-    /// sink.
-    pub fn convert_resilient_traced<S: obs::TraceSink>(
-        &self,
-        to: &ModeAssignment,
-        policy: &RetryPolicy,
-        faults: &ControlFaults,
-        sink: &mut S,
-    ) -> Result<ConversionOutcome, ConversionError> {
-        let from = self.current_assignment();
-        let old = self.artifacts(&from);
-        let new = self.artifacts(to);
-        let work = ConversionWork {
+        ConversionWork {
             crosspoints_changed: old
                 .instance
                 .configs
@@ -189,9 +115,60 @@ impl Controller {
                 .map(|(_, d, a)| (d, a))
                 .collect(),
             delay: self.delay,
-        };
+        }
+    }
+
+    /// Converts the network to a new assignment, returning the delay
+    /// breakdown. The conversion pipeline is the testbed's (§5.3):
+    /// reconfigure the OCS partitions, delete stale rules, add new rules,
+    /// run by the staged state machine on one shard with a quiet control
+    /// plane, so it always commits.
+    pub fn convert(&self, to: &ModeAssignment) -> ConversionReport {
+        self.convert_resilient(
+            to,
+            &RetryPolicy::default(),
+            &ControlFaults::none(),
+            &mut NoopSink,
+        )
+        .expect("the default policy and a quiet control plane always validate")
+        .report
+    }
+
+    /// Converts the network to a new assignment through the staged,
+    /// fault-tolerant state machine ([`crate::resilient`]): OCS
+    /// reconfigure, rule delete, rule add — per shard, with per-stage
+    /// retry/backoff drawn from `faults` and rollback to the current
+    /// mode on persistent failure. The target assignment is committed
+    /// iff the outcome is [`ConversionStatus::Committed`]; on
+    /// `RolledBack` the controller keeps the old mode, and on `Degraded`
+    /// it also keeps the old mode label while the outcome flags the
+    /// network as needing intervention.
+    ///
+    /// `sink` receives the conversion timeline (`ConvStart` /
+    /// `ConvAttempt` / `ConvStage` / `ConvEnd`); the outcome, including
+    /// every fault draw, is identical with any sink.
+    pub fn convert_resilient<S: TraceSink>(
+        &self,
+        to: &ModeAssignment,
+        policy: &RetryPolicy,
+        faults: &ControlFaults,
+        sink: &mut S,
+    ) -> Result<ConversionOutcome, ConversionError> {
+        let from = self.current_assignment();
+        let work = self.work(&from, to);
         #[cfg(feature = "strict-invariants")]
         {
+            let old = self.artifacts(&from);
+            let new = self.artifacts(to);
+            let v = flat_tree::invariants::conversion_delta_violations(
+                &self.ft,
+                &old.instance,
+                &new.instance,
+            );
+            debug_assert!(
+                v.is_empty(),
+                "conversion touches non-converter links: {v:?}"
+            );
             let diff = old.rules.diff(&new.rules);
             let (d, a) = work
                 .per_switch
@@ -203,33 +180,18 @@ impl Controller {
                 "stage plan does not cover exactly the rule delta"
             );
         }
-        let outcome =
-            run_conversion_traced(&work, &from.label(), &to.label(), policy, faults, sink)?;
+        let outcome = run_conversion(&work, &from.label(), &to.label(), policy, faults, sink)?;
         if outcome.status == ConversionStatus::Committed {
             *self.current.write() = to.clone();
         }
         Ok(outcome)
-    }
-
-    /// Per-switch churn of a hypothetical conversion, for the §4.3
-    /// distributed-controller estimates.
-    pub fn churn(&self, from: &ModeAssignment, to: &ModeAssignment) -> PerSwitchChurn {
-        let old = self.artifacts(from);
-        let new = self.artifacts(to);
-        PerSwitchChurn {
-            per_switch: old
-                .rules
-                .diff_per_switch(&new.rules)
-                .into_iter()
-                .map(|(_, d, a)| (d, a))
-                .collect(),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilient::StageKind;
     use flat_tree::FlatTreeParams;
     use topology::ClosParams;
 
@@ -262,7 +224,6 @@ mod tests {
         assert_eq!(r.crosspoints_changed, 32);
         assert!(r.rules_deleted > 0 && r.rules_added > 0);
         assert!((r.ocs_ms - 160.0).abs() < 1e-9);
-        assert!(r.total_sequential_ms() > r.total_parallel_ms() - 1e-9);
         assert_eq!(c.current_assignment().label(), "global");
     }
 
@@ -290,34 +251,52 @@ mod tests {
         assert_eq!(r.crosspoints_changed, 8);
     }
 
+    /// §4.3: sharding the rule push over more controllers never slows a
+    /// quiet conversion, and with one shard per switch the rule stages
+    /// take as long as the slowest single switch.
     #[test]
     fn distributed_controllers_shrink_latency() {
-        let c = controller();
         let from = ModeAssignment::uniform(4, PodMode::Clos);
         let to = ModeAssignment::uniform(4, PodMode::Global);
-        let churn = c.churn(&from, &to);
-        let one = churn.sharded_latency_ms(1, 1.0);
-        let four = churn.sharded_latency_ms(4, 1.0);
-        assert!(four < one);
-        assert!(churn.per_switch_agent_latency_ms(1.0) <= four + 1e-9);
-    }
-
-    #[test]
-    fn resilient_conversion_reduces_to_plain_convert_when_quiet() {
-        let plain = controller();
-        let resilient = controller();
-        let to = ModeAssignment::uniform(4, PodMode::Global);
-        let expected = plain.convert(&to);
-        let out = resilient
-            .convert_resilient(&to, &RetryPolicy::default(), &ControlFaults::none())
-            .expect("valid inputs");
-        assert_eq!(out.status, ConversionStatus::Committed);
-        assert_eq!(out.report, expected);
+        let work = controller().work(&from, &to);
+        let run = |shards: usize| {
+            let policy = RetryPolicy {
+                shards,
+                ..RetryPolicy::default()
+            };
+            controller()
+                .convert_resilient(&to, &policy, &ControlFaults::none(), &mut NoopSink)
+                .expect("valid inputs")
+        };
+        let one = run(1);
+        let four = run(4);
+        let per_switch = run(work.per_switch.len());
+        assert!(four.total_ms < one.total_ms);
+        assert!(per_switch.total_ms <= four.total_ms);
+        assert_eq!(one.report, per_switch.report);
+        // Each rule stage waits for its slowest single switch.
+        let stage_ms = |kind: StageKind| {
+            per_switch
+                .stages
+                .iter()
+                .filter(|t| t.stage == kind)
+                .map(|t| t.elapsed_ms)
+                .fold(0.0, f64::max)
+        };
+        let slowest = |rules: fn(&(usize, usize)) -> usize, per_rule_ms: f64| {
+            work.per_switch
+                .iter()
+                .map(|sw| rules(sw) as f64 * per_rule_ms)
+                .fold(0.0, f64::max)
+        };
         assert_eq!(
-            out.total_ms.to_bits(),
-            expected.total_sequential_ms().to_bits()
+            stage_ms(StageKind::RuleDelete),
+            slowest(|&(d, _)| d, work.delay.per_rule_delete_ms)
         );
-        assert_eq!(resilient.current_assignment().label(), "global");
+        assert_eq!(
+            stage_ms(StageKind::RuleAdd),
+            slowest(|&(_, a)| a, work.delay.per_rule_add_ms)
+        );
     }
 
     #[test]
@@ -329,14 +308,19 @@ mod tests {
             ..ControlFaults::none()
         };
         let out = c
-            .convert_resilient(&to, &RetryPolicy::default(), &faults)
+            .convert_resilient(&to, &RetryPolicy::default(), &faults, &mut NoopSink)
             .expect("valid inputs");
         assert_eq!(out.status, ConversionStatus::RolledBack);
         assert_eq!(out.rollback_to.as_deref(), Some("clos"));
         assert_eq!(c.current_assignment().label(), "clos");
         // The network stayed put, so a later quiet conversion still works.
         let ok = c
-            .convert_resilient(&to, &RetryPolicy::default(), &ControlFaults::none())
+            .convert_resilient(
+                &to,
+                &RetryPolicy::default(),
+                &ControlFaults::none(),
+                &mut NoopSink,
+            )
             .expect("valid inputs");
         assert_eq!(ok.status, ConversionStatus::Committed);
         assert_eq!(c.current_assignment().label(), "global");

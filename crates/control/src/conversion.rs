@@ -65,12 +65,6 @@ impl ConversionReport {
     pub fn total_sequential_ms(&self) -> f64 {
         self.ocs_ms + self.delete_ms + self.add_ms
     }
-
-    /// Total delay when the OCS and the packet switches are programmed in
-    /// parallel ("this can be easily parallelized", §5.3).
-    pub fn total_parallel_ms(&self) -> f64 {
-        self.ocs_ms.max(self.delete_ms + self.add_ms)
-    }
 }
 
 #[cfg(test)]
@@ -91,6 +85,5 @@ mod tests {
         };
         // Table 3's global row: 160 + 477 + 644 = 1281 ms.
         assert!((r.total_sequential_ms() - 1281.0).abs() < 1e-9);
-        assert!((r.total_parallel_ms() - 1121.0).abs() < 1e-9);
     }
 }

@@ -9,22 +9,21 @@
 //! arithmetic from first principles:
 //!
 //! * [`Controller`] holds the flat-tree, precompiles per-mode instances
-//!   and rule sets, and executes conversions, returning a
+//!   and rule sets, derives the work of a conversion
+//!   ([`Controller::work`]) and executes it, returning a
 //!   [`conversion::ConversionReport`] with the full delay breakdown;
 //! * [`conversion::DelayModel`] captures the testbed's constants (160 ms
-//!   OCS reconfiguration, ~1 ms per OpenFlow rule update, §4.3/§5.3) and
-//!   also reports the parallelized variant the paper says is easy;
-//! * [`distributed`] models the §4.3 scaling options: sharding the rule
-//!   push over multiple controllers and precomputing paths;
-//! * [`resilient`] reworks the conversion into a staged state machine —
-//!   OCS reconfigure, rule delete, rule add, per controller shard — with
-//!   per-stage timeouts, bounded retry with exponential backoff, and
-//!   rollback to the last-known-good mode, driven by deterministic
-//!   control-plane fault draws ([`flowsim::faults::ControlFaults`]).
+//!   OCS reconfiguration, ~1 ms per OpenFlow rule update, §4.3/§5.3);
+//! * [`resilient`] is the one conversion path: a staged state machine —
+//!   OCS reconfigure, rule delete, rule add, per controller shard (the
+//!   §4.3 multi-controller push) — with per-stage timeouts, bounded
+//!   retry with exponential backoff, and rollback to the last-known-good
+//!   mode, driven by deterministic control-plane fault draws
+//!   ([`flowsim::faults::ControlFaults`]). A quiet one-shard run is
+//!   Table 3's arithmetic.
 
 pub mod controller;
 pub mod conversion;
-pub mod distributed;
 pub mod resilient;
 pub mod retry;
 
@@ -34,5 +33,6 @@ pub use resilient::{
     ConversionError, ConversionOutcome, ConversionStatus, RetryPolicy, StageKind, StageTrace,
 };
 pub use retry::{Attempt, Attempts, Backoff};
-// Re-exported so traced callers need not depend on `obs` directly.
+// Re-exported so callers can pass a conversion sink without depending
+// on `obs` directly.
 pub use obs::{NoopSink, RingSink, TraceEvent, TraceSink};

@@ -1,18 +1,16 @@
 //! Staged, fault-tolerant conversion: retry, backoff, rollback.
 //!
-//! [`Controller::convert`](crate::Controller::convert) models a
-//! conversion as pure arithmetic — every OCS reconfiguration and rule
-//! update succeeds on the first try. This module reworks that pipeline
-//! into an explicit state machine for studying conversions *under
-//! failure*: each stage (OCS reconfigure, rule delete, rule add —
-//! per controller shard) runs with a per-attempt fault draw from
-//! [`ControlFaults`], bounded retry with exponential backoff, and a
-//! rollback path to the last-known-good mode when a stage fails
-//! persistently.
+//! This state machine is the one implementation of a conversion. Each
+//! stage (OCS reconfigure, rule delete, rule add — per controller
+//! shard) runs with a per-attempt fault draw from [`ControlFaults`],
+//! bounded retry with exponential backoff, and a rollback path to the
+//! last-known-good mode when a stage fails persistently. The §4.3
+//! multi-controller push is [`RetryPolicy::shards`] over
+//! [`shard_partition`].
 //!
-//! The machine's delay accounting reduces **exactly** to the fault-free
-//! arithmetic: with [`ControlFaults::none`] and one shard, the outcome
-//! is [`ConversionStatus::Committed`] and
+//! With [`ControlFaults::none`] and one shard — what
+//! [`Controller::convert`](crate::Controller::convert) runs for Table 3 —
+//! the outcome is [`ConversionStatus::Committed`] and
 //! [`ConversionOutcome::total_ms`] equals
 //! [`ConversionReport::total_sequential_ms`] bit for bit.
 //!
@@ -23,7 +21,7 @@
 use crate::conversion::{ConversionReport, DelayModel};
 use crate::retry::Backoff;
 use flowsim::faults::ControlFaults;
-use obs::{NoopSink, TraceEvent, TraceSink};
+use obs::{TraceEvent, TraceSink};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -216,8 +214,8 @@ impl ConversionStatus {
 pub struct ConversionOutcome {
     /// Terminal state.
     pub status: ConversionStatus,
-    /// The fault-free delay arithmetic of this conversion (identical to
-    /// what [`Controller::convert`](crate::Controller::convert) reports).
+    /// The fault-free delay arithmetic of this conversion (what
+    /// [`Controller::convert`](crate::Controller::convert) reports).
     pub report: ConversionReport,
     /// Per-`(stage, shard)` execution traces, in execution order.
     pub stages: Vec<StageTrace>,
@@ -234,7 +232,8 @@ pub struct ConversionOutcome {
 }
 
 /// What the state machine needs to know about the conversion, extracted
-/// from the controller's cached artifacts.
+/// from the controller's cached artifacts by
+/// [`Controller::work`](crate::Controller::work).
 #[derive(Debug, Clone)]
 pub struct ConversionWork {
     /// Converter switches whose crosspoint configuration changes.
@@ -245,15 +244,12 @@ pub struct ConversionWork {
     pub delay: DelayModel,
 }
 
-/// Deterministic greedy LPT partition of per-switch jobs over `shards`
-/// shards; ties broken by switch order, then lowest shard index.
-/// Exposed for the `ftcheck` fault battery (`FT-F003`), which verifies
-/// the partition is an exact in-range permutation of the switch set.
+/// Deterministic greedy longest-job-first (LPT) partition of per-switch
+/// jobs over `shards` controller shards; ties broken by switch order,
+/// then lowest shard index. The `ftcheck` fault battery (`FT-F003`)
+/// verifies the partition is an exact in-range permutation of the
+/// switch set.
 pub fn shard_partition(per_switch: &[(usize, usize)], shards: usize) -> Vec<Vec<usize>> {
-    partition_shards(per_switch, shards)
-}
-
-fn partition_shards(per_switch: &[(usize, usize)], shards: usize) -> Vec<Vec<usize>> {
     let mut order: Vec<usize> = (0..per_switch.len()).collect();
     order.sort_by(|&a, &b| {
         let la = per_switch[a].0 + per_switch[a].1;
@@ -450,22 +446,13 @@ fn run_rule_stage<S: TraceSink>(
 /// Drives the full staged conversion. `from_label`/`to_label` are only
 /// carried into the outcome; the controller is responsible for actually
 /// committing the target assignment iff the status is `Committed`.
-pub fn run_conversion(
-    work: &ConversionWork,
-    from_label: &str,
-    to_label: &str,
-    policy: &RetryPolicy,
-    faults: &ControlFaults,
-) -> Result<ConversionOutcome, ConversionError> {
-    run_conversion_traced(work, from_label, to_label, policy, faults, &mut NoopSink)
-}
-
-/// [`run_conversion`] with a caller-supplied [`TraceSink`] receiving the
-/// conversion timeline: `ConvStart`, one `ConvAttempt` per fault draw,
-/// one `ConvStage` span per `(stage, shard)` cell, and a terminal
-/// `ConvEnd`. Emission never draws from the fault RNG streams, so the
-/// outcome is identical with any sink.
-pub fn run_conversion_traced<S: TraceSink>(
+///
+/// `sink` receives the conversion timeline: `ConvStart`, one
+/// `ConvAttempt` per fault draw, one `ConvStage` span per
+/// `(stage, shard)` cell, and a terminal `ConvEnd`. Emission never draws
+/// from the fault RNG streams, so the outcome is identical with any
+/// sink ([`obs::NoopSink`] for untraced runs).
+pub fn run_conversion<S: TraceSink>(
     work: &ConversionWork,
     from_label: &str,
     to_label: &str,
@@ -502,7 +489,7 @@ pub fn run_conversion_traced<S: TraceSink>(
         add_ms: adds as f64 * work.delay.per_rule_add_ms,
     };
 
-    let assignment = partition_shards(&work.per_switch, policy.shards);
+    let assignment = shard_partition(&work.per_switch, policy.shards);
     let shard_deletes: Vec<usize> = assignment
         .iter()
         .map(|sws| sws.iter().map(|&i| work.per_switch[i].0).sum())
@@ -742,6 +729,16 @@ fn finish<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::NoopSink;
+
+    /// An untraced clos -> global run.
+    fn run(
+        w: &ConversionWork,
+        policy: &RetryPolicy,
+        faults: &ControlFaults,
+    ) -> Result<ConversionOutcome, ConversionError> {
+        run_conversion(w, "clos", "global", policy, faults, &mut NoopSink)
+    }
 
     fn work() -> ConversionWork {
         ConversionWork {
@@ -754,14 +751,7 @@ mod tests {
     #[test]
     fn quiet_faults_reduce_to_sequential_arithmetic() {
         let w = work();
-        let out = run_conversion(
-            &w,
-            "clos",
-            "global",
-            &RetryPolicy::default(),
-            &ControlFaults::none(),
-        )
-        .expect("valid inputs");
+        let out = run(&w, &RetryPolicy::default(), &ControlFaults::none()).expect("valid inputs");
         assert_eq!(out.status, ConversionStatus::Committed);
         assert_eq!(out.total_retries, 0);
         assert_eq!(out.rollback_to, None);
@@ -781,14 +771,7 @@ mod tests {
             crosspoints_changed: 0,
             ..work()
         };
-        let out = run_conversion(
-            &w,
-            "clos",
-            "clos",
-            &RetryPolicy::default(),
-            &ControlFaults::none(),
-        )
-        .expect("valid inputs");
+        let out = run(&w, &RetryPolicy::default(), &ControlFaults::none()).expect("valid inputs");
         assert_eq!(out.status, ConversionStatus::Committed);
         assert!(out.stages.iter().all(|t| t.stage != StageKind::Ocs));
         assert_eq!(out.report.ocs_ms, 0.0);
@@ -801,18 +784,9 @@ mod tests {
     #[test]
     fn sharding_cuts_wall_clock_without_changing_the_report() {
         let w = work();
-        let one = run_conversion(
+        let one = run(&w, &RetryPolicy::default(), &ControlFaults::none()).expect("valid");
+        let four = run(
             &w,
-            "clos",
-            "global",
-            &RetryPolicy::default(),
-            &ControlFaults::none(),
-        )
-        .expect("valid");
-        let four = run_conversion(
-            &w,
-            "clos",
-            "global",
             &RetryPolicy {
                 shards: 4,
                 ..RetryPolicy::default()
@@ -831,8 +805,7 @@ mod tests {
             ocs_fail_prob: 1.0,
             ..ControlFaults::none()
         };
-        let out = run_conversion(&work(), "clos", "global", &RetryPolicy::default(), &faults)
-            .expect("valid");
+        let out = run(&work(), &RetryPolicy::default(), &faults).expect("valid");
         assert_eq!(out.status, ConversionStatus::RolledBack);
         assert_eq!(out.rollback_to.as_deref(), Some("clos"));
         // The OCS never switched, so no rollback stages ran.
@@ -853,8 +826,7 @@ mod tests {
             rule_fail_prob: 0.9,
             ..ControlFaults::none()
         };
-        let out = run_conversion(&work(), "clos", "global", &RetryPolicy::default(), &faults)
-            .expect("valid");
+        let out = run(&work(), &RetryPolicy::default(), &faults).expect("valid");
         assert_eq!(out.status, ConversionStatus::Degraded);
         assert_eq!(out.rollback_to.as_deref(), Some("clos"));
         assert!(out
@@ -872,8 +844,7 @@ mod tests {
             rule_fail_prob: 1.0,
             ..ControlFaults::none()
         };
-        let out = run_conversion(&work(), "clos", "global", &RetryPolicy::default(), &faults)
-            .expect("valid");
+        let out = run(&work(), &RetryPolicy::default(), &faults).expect("valid");
         assert_eq!(out.status, ConversionStatus::RolledBack);
         assert!(out
             .stages
@@ -899,11 +870,11 @@ mod tests {
             shards: 3,
             ..RetryPolicy::default()
         };
-        let a = run_conversion(&work(), "clos", "global", &policy, &faults).expect("valid");
-        let b = run_conversion(&work(), "clos", "global", &policy, &faults).expect("valid");
+        let a = run(&work(), &policy, &faults).expect("valid");
+        let b = run(&work(), &policy, &faults).expect("valid");
         assert_eq!(a, b);
         let other = ControlFaults { seed: 8, ..faults };
-        let c = run_conversion(&work(), "clos", "global", &policy, &other).expect("valid");
+        let c = run(&work(), &policy, &other).expect("valid");
         assert_ne!(a.stages, c.stages);
     }
 
@@ -923,10 +894,10 @@ mod tests {
             shards: 3,
             ..RetryPolicy::default()
         };
-        let plain = run_conversion(&work(), "clos", "global", &policy, &faults).expect("valid");
+        let plain = run(&work(), &policy, &faults).expect("valid");
         let mut ring = obs::RingSink::unbounded();
-        let traced = run_conversion_traced(&work(), "clos", "global", &policy, &faults, &mut ring)
-            .expect("valid");
+        let traced =
+            run_conversion(&work(), "clos", "global", &policy, &faults, &mut ring).expect("valid");
         assert_eq!(plain, traced, "sink must not perturb the fault draws");
 
         let events = ring.into_events();
@@ -987,7 +958,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         assert!(matches!(
-            run_conversion(&w, "a", "b", &bad_policy, &ControlFaults::none()),
+            run(&w, &bad_policy, &ControlFaults::none()),
             Err(ConversionError::InvalidPolicy {
                 which: "max_attempts",
                 ..
@@ -998,7 +969,7 @@ mod tests {
             ..ControlFaults::none()
         };
         assert!(matches!(
-            run_conversion(&w, "a", "b", &RetryPolicy::default(), &bad_faults),
+            run(&w, &RetryPolicy::default(), &bad_faults),
             Err(ConversionError::Faults(_))
         ));
     }
@@ -1006,8 +977,8 @@ mod tests {
     #[test]
     fn lpt_partition_is_deterministic_and_balanced() {
         let per_switch = vec![(10, 10), (5, 5), (0, 40), (20, 0)];
-        let p2 = partition_shards(&per_switch, 2);
-        assert_eq!(p2, partition_shards(&per_switch, 2));
+        let p2 = shard_partition(&per_switch, 2);
+        assert_eq!(p2, shard_partition(&per_switch, 2));
         let load = |sws: &Vec<usize>| -> usize {
             sws.iter().map(|&i| per_switch[i].0 + per_switch[i].1).sum()
         };

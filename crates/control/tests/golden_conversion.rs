@@ -11,7 +11,7 @@
 //! the shard partition, or the delay model shows up here first.
 
 use control::resilient::{ConversionStatus, RetryPolicy, StageKind};
-use control::{Controller, DelayModel};
+use control::{Controller, DelayModel, NoopSink};
 use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
 use flowsim::faults::ControlFaults;
 use topology::ClosParams;
@@ -40,7 +40,7 @@ fn flaky_ocs_conversion_is_pinned_bit_for_bit() {
         shards: 2,
     };
     let out = c
-        .convert_resilient(&to, &policy, &faults)
+        .convert_resilient(&to, &policy, &faults, &mut NoopSink)
         .expect("valid inputs");
 
     // ---- pinned outcome (learned once, frozen forever) ----
@@ -84,7 +84,7 @@ fn flaky_ocs_conversion_is_pinned_bit_for_bit() {
 
     // The identical inputs replay the identical outcome.
     let again = controller()
-        .convert_resilient(&to, &policy, &faults)
+        .convert_resilient(&to, &policy, &faults, &mut NoopSink)
         .expect("valid inputs");
     assert_eq!(out, again);
 }
@@ -99,7 +99,7 @@ fn hopeless_ocs_conversion_rolls_back_with_pinned_backoff_schedule() {
         ..ControlFaults::none()
     };
     let out = c
-        .convert_resilient(&to, &RetryPolicy::default(), &faults)
+        .convert_resilient(&to, &RetryPolicy::default(), &faults, &mut NoopSink)
         .expect("valid inputs");
     assert_eq!(out.status, ConversionStatus::RolledBack);
     assert_eq!(out.rollback_to.as_deref(), Some("clos"));

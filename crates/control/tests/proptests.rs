@@ -1,8 +1,9 @@
 //! Property tests for the control plane: conversion algebra over random
 //! mode sequences.
 
-use control::{Controller, DelayModel};
+use control::{Controller, ConversionStatus, DelayModel, NoopSink, RetryPolicy};
 use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
+use flowsim::faults::ControlFaults;
 use proptest::prelude::*;
 use topology::ClosParams;
 
@@ -21,15 +22,39 @@ proptest! {
     /// * a null conversion is always free,
     /// * rule churn between two modes is symmetric (deletes one way =
     ///   adds the other way),
-    /// * the delay decomposition always sums consistently.
+    /// * the delay decomposition always sums consistently,
+    /// * every report is Table 3's arithmetic over the cached artifacts:
+    ///   the rule diff, the changed crosspoints and the delay constants,
+    /// * a quiet one-shard run of the state machine takes exactly the
+    ///   report's sequential total.
     #[test]
     fn conversion_algebra(seq in prop::collection::vec(0u8..3, 1..6)) {
         let ft = FlatTree::new(FlatTreeParams::new(ClosParams::mini(), 1, 1)).unwrap();
-        let ctl = Controller::new(ft, 2, DelayModel::testbed());
+        let delay = DelayModel::testbed();
+        let ctl = Controller::new(ft, 2, delay);
         let mut prev = ModeAssignment::uniform(4, PodMode::Clos);
         for &m in &seq {
             let to = ModeAssignment::uniform(4, mode(m));
-            let fwd = ctl.convert(&to);
+            let (old, new) = (ctl.artifacts(&prev), ctl.artifacts(&to));
+            let diff = old.rules.diff(&new.rules);
+            let crosspoints = old
+                .instance
+                .configs
+                .iter()
+                .zip(&new.instance.configs)
+                .filter(|(a, b)| a != b)
+                .count();
+            let out = ctl
+                .convert_resilient(&to, &RetryPolicy::default(), &ControlFaults::none(), &mut NoopSink)
+                .unwrap();
+            prop_assert_eq!(out.status, ConversionStatus::Committed);
+            let fwd = out.report;
+            prop_assert_eq!(out.total_ms.to_bits(), fwd.total_sequential_ms().to_bits());
+            prop_assert_eq!(fwd.crosspoints_changed, crosspoints);
+            prop_assert_eq!((fwd.rules_deleted, fwd.rules_added), (diff.deletes, diff.adds));
+            prop_assert_eq!(fwd.ocs_ms, if crosspoints > 0 { delay.ocs_ms } else { 0.0 });
+            prop_assert_eq!(fwd.delete_ms, diff.deletes as f64 * delay.per_rule_delete_ms);
+            prop_assert_eq!(fwd.add_ms, diff.adds as f64 * delay.per_rule_add_ms);
             prop_assert!(
                 (fwd.total_sequential_ms()
                     - (fwd.ocs_ms + fwd.delete_ms + fwd.add_ms)).abs() < 1e-9

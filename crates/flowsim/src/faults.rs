@@ -14,10 +14,11 @@
 //! the simulation engine replays (cables expand to both directions,
 //! switches to every incident directed link). Stuck-converter entries
 //! are not timed events — a latched crosspoint is a property of the
-//! instantiated topology — so they are carried symbolically and applied
-//! by `ft_bench` through `flat_tree`'s `instantiate_with_overrides`
-//! hook. Control-plane faults ([`ControlFaults`]) are consumed by the
-//! `control` crate's staged conversion state machine.
+//! instantiated topology — so they are carried as [`ConverterConfig`]
+//! overrides and applied by `ft_bench` through `flat_tree`'s
+//! `instantiate_with_overrides` hook. Control-plane faults
+//! ([`ControlFaults`]) are consumed by the `control` crate's staged
+//! conversion state machine.
 //!
 //! Semantics at equal timestamps: down events apply before up events,
 //! and the last write to a link wins (a switch-up event resurrects an
@@ -25,6 +26,7 @@
 //! plans accordingly).
 
 use crate::error::FaultError;
+use flat_tree::ConverterConfig;
 use netgraph::{Graph, LinkId, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -64,29 +66,15 @@ pub struct SwitchFault {
     pub up_at: Option<f64>,
 }
 
-/// A converter-switch crosspoint latched in a configuration, mirroring
-/// `flat_tree::ConverterConfig` without a dependency on that crate.
-/// `ft_bench` maps these onto `instantiate_with_overrides`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StuckConfig {
-    /// Latched in the Clos wiring (a1/b1).
-    Default,
-    /// Latched in the local-mode wiring (a2/b2).
-    Local,
-    /// Latched in the peer-wise side wiring (b3, 6-port only).
-    Side,
-    /// Latched in the crossed side wiring (b4, 6-port only).
-    Cross,
-}
-
 /// A converter switch stuck at a configuration (§3.6 failure mode: a
 /// failed circuit switch latches its crosspoints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StuckConverter {
     /// Converter id in `flat_tree`'s layout order.
     pub converter: usize,
-    /// The latched configuration.
-    pub config: StuckConfig,
+    /// The latched configuration, which `ft_bench` hands to
+    /// `FlatTree::instantiate_with_overrides`.
+    pub config: ConverterConfig,
 }
 
 /// Control-plane fault probabilities, consumed by the `control` crate's
@@ -224,7 +212,7 @@ impl FaultPlan {
     }
 
     /// Latches one converter at a configuration.
-    pub fn stuck_converter(&mut self, converter: usize, config: StuckConfig) -> &mut Self {
+    pub fn stuck_converter(&mut self, converter: usize, config: ConverterConfig) -> &mut Self {
         self.stuck_converters
             .push(StuckConverter { converter, config });
         self

@@ -82,7 +82,7 @@ pub mod sim;
 pub use alloc::AllocTelemetry;
 pub use error::{FaultError, SimError};
 pub use failures::FailedLinks;
-pub use faults::{AuditReport, ControlFaults, FaultPlan, FaultSchedule, LinkEvent, StuckConfig};
+pub use faults::{AuditReport, ControlFaults, FaultPlan, FaultSchedule, LinkEvent};
 pub use provider::{EcmpProvider, MptcpProvider, PathProvider, RoutedConn};
 pub use sim::{
     simulate, simulate_under_faults_with_provider_traced, simulate_with_telemetry, FaultSimOutcome,

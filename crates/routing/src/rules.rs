@@ -103,7 +103,8 @@ impl RuleSet {
 
 impl RuleSet {
     /// Per-switch `(deleted, added)` churn converting `self` into `to`,
-    /// ascending by switch id. Feeds the distributed-controller model.
+    /// ascending by switch id. Feeds the conversion stage plan (the rule
+    /// push sharded over controllers).
     pub fn diff_per_switch(&self, to: &RuleSet) -> Vec<(NodeId, usize, usize)> {
         let switches: BTreeSet<NodeId> = self
             .per_switch

@@ -109,7 +109,7 @@ pub fn counterpart_pairs(num_pods: usize, per_pod: usize) -> Vec<(usize, usize)>
 /// Steady-state total iPerf throughput (Gbps) of a mode on the rig,
 /// using the mode's profiled k (see [`best_k`]).
 pub fn steady_state_gbps(rig: &TestbedRig, mode: PodMode) -> f64 {
-    steady_state_gbps_with_k(rig, mode, best_k(rig, mode))
+    best_k(rig, mode).1
 }
 
 /// The k (number of concurrent paths) that maximizes this mode's
@@ -118,13 +118,14 @@ pub fn steady_state_gbps(rig: &TestbedRig, mode: PodMode) -> f64 {
 /// each topology may have optimum transmission performance with a
 /// different k" — the paper's own Figure 5 example assigns k = 16/8/4
 /// to global/local/Clos.
-pub fn best_k(rig: &TestbedRig, mode: PodMode) -> usize {
+///
+/// Returns the winning k with its throughput (Gbps); each k is scored
+/// once, and on a tie the larger k wins.
+pub fn best_k(rig: &TestbedRig, mode: PodMode) -> (usize, f64) {
     [2usize, 4, 8]
         .into_iter()
-        .max_by(|&a, &b| {
-            steady_state_gbps_with_k(rig, mode, a)
-                .total_cmp(&steady_state_gbps_with_k(rig, mode, b))
-        })
+        .map(|k| (k, steady_state_gbps_with_k(rig, mode, k)))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("nonempty")
 }
 
@@ -153,8 +154,7 @@ pub fn steady_state_gbps_with_k(rig: &TestbedRig, mode: PodMode, k: usize) -> f6
             }
         })
         .collect();
-    let caps: Vec<f64> = g.link_ids().map(|l| g.link(l).capacity_gbps).collect();
-    connection_rates(&caps, &conns)
+    connection_rates(&g.capacities(), &conns)
         .expect("paths routed on this graph")
         .iter()
         .sum()

@@ -7,8 +7,7 @@
 use crate::corrupt::Corruption;
 use crate::diag::{canonicalize, Finding};
 use crate::{addressing_rules, control_rules, fault_rules, graph_rules, routing_rules};
-use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
-use flowsim::faults::StuckConfig;
+use flat_tree::{ConverterConfig, FlatTree, FlatTreeParams, ModeAssignment, PodMode};
 use flowsim::FaultPlan;
 use ft_bench::Scale;
 use netgraph::{Graph, LinkId};
@@ -213,8 +212,8 @@ pub fn run_cell(cell: &Cell, k: usize, corruption: Option<Corruption>) -> CellRe
             // the faultsweep experiment feeds the engine.
             let mut plan = FaultPlan::new(FAULT_PLAN_SEED);
             plan.random_link_flaps(&cables(g), 0.25, 0.4, (0.0, 2.0));
-            plan.stuck_converter(0, StuckConfig::Default);
-            plan.stuck_converter(converters - 1, StuckConfig::Local);
+            plan.stuck_converter(0, ConverterConfig::Default);
+            plan.stuck_converter(converters - 1, ConverterConfig::Local);
             let mut schedule = plan.compile(g).expect("battery fault plan compiles");
 
             // Per-switch jobs derived from the deterministic port-usage

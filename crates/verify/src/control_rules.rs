@@ -4,9 +4,9 @@
 //! through the production [`Controller`] artifacts and checks, per pair:
 //! the physical delta stays inside the converter inventory (FT-C001),
 //! the rule delete/add sets are disjoint and replay the old rule set
-//! into the new one exactly (FT-C002), and the resilient-conversion
-//! stage plan distributes exactly the rule diff over the per-switch
-//! shards (FT-C003).
+//! into the new one exactly (FT-C002), and the stage plan
+//! [`Controller::work`] hands the conversion state machine distributes
+//! exactly the rule diff over the switches (FT-C003).
 
 use crate::diag::{Finding, RuleCode};
 use control::controller::Controller;
@@ -98,10 +98,10 @@ pub fn check(ft: &FlatTree, assignments: &[ModeAssignment], k: usize) -> Vec<Fin
                     }),
             );
             out.extend(rule_churn_findings(&label, &old.rules, &new.rules));
-            let churn = controller.churn(from, to);
+            let work = controller.work(from, to);
             out.extend(stage_plan_findings(
                 &label,
-                &churn.per_switch,
+                &work.per_switch,
                 old.rules.diff(&new.rules),
             ));
         }

@@ -6,8 +6,7 @@
 //! requires a non-zero exit.
 
 use crate::diag::RuleCode;
-use flat_tree::FlatTreeInstance;
-use flowsim::faults::StuckConfig;
+use flat_tree::{ConverterConfig, FlatTreeInstance};
 use flowsim::{FaultPlan, FaultSchedule};
 
 /// A plantable defect.
@@ -143,7 +142,7 @@ impl Corruption {
                 schedule.events.retain(|e| !(e.up && e.link == link));
             }
             Corruption::StuckOutOfRange => {
-                plan.stuck_converter(converter_count, StuckConfig::Default);
+                plan.stuck_converter(converter_count, ConverterConfig::Default);
             }
             Corruption::ShardOutOfRange => {
                 let sw = partition

@@ -8,7 +8,7 @@
 //!    be time-sorted (the engine processes events in order, never
 //!    re-sorting) and every flap that promises a recovery must deliver
 //!    one (`FT-F001`);
-//! 2. the stuck-converter overrides `ft_bench` maps onto
+//! 2. the stuck-converter overrides `ft_bench` hands to
 //!    [`flat_tree::FlatTree::instantiate_with_overrides`] — a converter
 //!    id past the inventory or a configuration a 4-port blade cannot
 //!    latch panics deep inside instantiation (`FT-F002`);
@@ -18,19 +18,8 @@
 //!    (`FT-F003`).
 
 use crate::diag::{Finding, RuleCode};
-use flat_tree::{ConverterConfig, FlatTree};
-use flowsim::faults::{FaultPlan, FaultSchedule, StuckConfig};
-
-/// The `flowsim`-side stuck configuration mapped to the `flat_tree`
-/// configuration it forces (the same mapping `ft_bench` applies).
-pub fn to_converter_config(c: StuckConfig) -> ConverterConfig {
-    match c {
-        StuckConfig::Default => ConverterConfig::Default,
-        StuckConfig::Local => ConverterConfig::Local,
-        StuckConfig::Side => ConverterConfig::Side,
-        StuckConfig::Cross => ConverterConfig::Cross,
-    }
-}
+use flat_tree::FlatTree;
+use flowsim::faults::{FaultPlan, FaultSchedule};
 
 /// FT-F001 — the compiled schedule is sorted by `(time, down-before-up,
 /// link)` and every flap with a recovery time has its up event present.
@@ -90,12 +79,11 @@ pub fn check_stuck_targets(ft: &FlatTree, plan: &FaultPlan) -> Vec<Finding> {
             continue;
         }
         let kind = ft.layout.converters[s.converter].blade.kind();
-        let cfg = to_converter_config(s.config);
-        if !cfg.valid_for(kind) {
+        if !s.config.valid_for(kind) {
             findings.push(Finding::new(
                 RuleCode::FaultTargets,
                 format!("converter{}", s.converter),
-                format!("{cfg:?} cannot be latched by a {kind:?} converter"),
+                format!("{:?} cannot be latched by a {kind:?} converter", s.config),
             ));
         }
     }
@@ -149,7 +137,7 @@ pub fn check(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flat_tree::{ModeAssignment, PodMode};
+    use flat_tree::{ConverterConfig, ModeAssignment, PodMode};
     use testbed::rig::testbed_params;
 
     fn testbed() -> FlatTree {
@@ -168,7 +156,7 @@ mod tests {
         let inst = ft.instantiate(&ModeAssignment::uniform(ft.pods(), PodMode::Global));
         let link = inst.net.graph.link_ids().next().expect("graph has links");
         plan.flap(link, 0.5, Some(1.5));
-        plan.stuck_converter(0, StuckConfig::Default);
+        plan.stuck_converter(0, ConverterConfig::Default);
         let schedule = compiled(&ft, &plan);
         let partition = control::resilient::shard_partition(&[(3, 2), (1, 1), (2, 2)], 2);
         assert_eq!(check(&ft, &plan, &schedule, 3, &partition), vec![]);
@@ -203,7 +191,7 @@ mod tests {
         let ft = testbed();
         let count = ft.layout.converters.len();
         let mut plan = FaultPlan::new(7);
-        plan.stuck_converter(count, StuckConfig::Default);
+        plan.stuck_converter(count, ConverterConfig::Default);
         let found = check_stuck_targets(&ft, &plan);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].code, "FT-F002");
@@ -216,7 +204,7 @@ mod tests {
             .position(|c| c.blade.kind() == flat_tree::ConverterKind::FourPort)
             .expect("testbed has 4-port converters");
         let mut plan = FaultPlan::new(7);
-        plan.stuck_converter(four_port, StuckConfig::Side);
+        plan.stuck_converter(four_port, ConverterConfig::Side);
         let found = check_stuck_targets(&ft, &plan);
         assert_eq!(found.len(), 1, "{found:?}");
         assert_eq!(found[0].code, "FT-F002");

@@ -5,7 +5,7 @@
 //! Run with: `cargo run -p ft-bench --release --example convert_topology`
 
 use flat_tree::{ModeAssignment, PodMode};
-use testbed::iperf::{best_k, steady_state_gbps};
+use testbed::iperf::best_k;
 use testbed::TestbedRig;
 
 fn main() {
@@ -33,11 +33,10 @@ fn main() {
             report.add_ms,
             report.total_sequential_ms()
         );
-        let k = best_k(&rig, mode);
+        let (k, gbps) = best_k(&rig, mode);
         println!(
-            "  steady-state core bandwidth in {} mode: {:.1} Gbps (k = {k})\n",
+            "  steady-state core bandwidth in {} mode: {gbps:.1} Gbps (k = {k})\n",
             report.to,
-            steady_state_gbps(&rig, mode)
         );
     }
 }
