@@ -1,13 +1,15 @@
 //! Micro-benchmarks of the substrate algorithms every experiment rests
-//! on: Yen k-shortest paths (plain and masked), max-min water filling, flat-tree
-//! instantiation, and the wiring-property checkers. These are the
+//! on: Yen k-shortest paths (plain and masked), cold ECMP routing, max-min
+//! water filling, flat-tree instantiation, and the wiring-property checkers. These are the
 //! performance-tracking benches for regressions, not paper figures.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use flat_tree::{FlatTree, FlatTreeParams, ModeAssignment, PodMode};
+use flowsim::provider::{EcmpProvider, PathProvider};
+use flowsim::FailedLinks;
 use ft_bench::experiments::common;
 use mcf::IncrementalAllocator;
-use netgraph::LinkId;
+use netgraph::{LinkId, PathArena};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -69,6 +71,32 @@ fn bench(c: &mut Criterion) {
                 }
             }
             paths
+        });
+    });
+
+    // Cold ECMP routing, as `bigsim` routes: a seeded permutation on the
+    // k=16 flat-tree global network through a fresh `EcmpProvider` per
+    // iteration, so every egress table is built inside the timing.
+    let inst = common::instance(
+        &common::flat_tree_over(topology::fat_tree(16)),
+        PodMode::Global,
+    );
+    let net = &inst.net;
+    let pairs = traffic::patterns::permutation(net.num_servers(), 1);
+    let flows = common::flow_specs(net, &pairs, 1e6);
+    let failed = FailedLinks::new(net.graph.link_count());
+    c.bench_function("substrates/ecmp_cold_k16_global", |b| {
+        b.iter(|| {
+            let mut provider = EcmpProvider::new();
+            let mut arena = PathArena::new();
+            flows
+                .iter()
+                .filter(|sp| {
+                    provider
+                        .route(&net.graph, &mut arena, &failed, sp)
+                        .is_some()
+                })
+                .count()
         });
     });
 

@@ -10,7 +10,7 @@
 use crate::cables::{for_each_cable, Cable, Switches};
 use crate::layout::{FlatTreeParams, Layout};
 use crate::modes::{configs_for, ModeAssignment, PodMode};
-use netgraph::metrics::{SwitchView, Wire};
+use netgraph::switch_graph::{SwitchView, Wire};
 use topology::ClosParams;
 
 /// Result of one profiling candidate.

@@ -13,16 +13,26 @@
 //! * [`EcmpRouter`] (production) never builds the set. Servers are
 //!   single-homed leaves (FT-G005), so every server pair's set is its
 //!   switch pair's set with the two server legs attached. Per **egress
-//!   switch** the router keeps one table over switch nodes — hop distance
-//!   to the egress and the number of shortest paths to it, saturated at
-//!   the cap — and *unranks* the hashed index by walking the
-//!   shortest-path DAG from the ingress switch.
+//!   switch** the router keeps hop distances over the switch graph,
+//!   computed 64 egress switches per sweep by the word-parallel BFS that
+//!   path-length profiling also runs ([`crate::switch_graph`]). Path
+//!   counts towards the egress, saturated at the cap, are memoized only
+//!   for the switches a route asks about. The router *unranks* the
+//!   hashed index by walking the shortest-path DAG from the ingress
+//!   switch over a switch arc list pre-sorted by node id.
 //! * [`equal_cost_paths`] + [`select_by_hash`] (oracle) enumerate the
 //!   set. `flowsim::reference` and the oracle proptests route with them.
+//!
+//! The router's output is bit-identical to the oracle's. Distances are
+//! hop counts whichever BFS computes them, and saturated counts are the
+//! same sums whether computed eagerly or on demand. The arc list orders
+//! successors exactly as the oracle's DFS does, and keeps for each
+//! neighbour the link `Path::from_nodes` picks.
 
 use crate::dijkstra::hop_distances;
 use crate::graph::{Graph, LinkId, NodeId};
 use crate::path::Path;
+use crate::switch_graph::{Lanes, SwitchView, Wire};
 
 /// Upper bound on paths enumerated per pair, to keep worst cases bounded on
 /// very path-rich graphs. Clos networks stay far below this.
@@ -139,18 +149,208 @@ const NO_SLOT: u32 = u32::MAX;
 const UNREACHED: u16 = u16::MAX;
 /// [`MAX_ECMP_PATHS`] as a saturation bound for the `u16` path counts.
 const CAP: u16 = MAX_ECMP_PATHS as u16;
+/// A path count not memoized yet; counts saturate at [`CAP`], far below.
+const UNKNOWN: u16 = u16::MAX;
+/// Egress switches per distance sweep: one per bit of a `u64` lane word.
+const BLOCK: usize = 64;
+
+/// The switch graph's arcs by tail: the arcs out of switch slot `u` are
+/// `arcs[start[u]..start[u + 1]]` as `(head slot, link)`, sorted by
+/// head, with parallel links collapsed onto the first one — the link
+/// `Graph::find_link` (and so `Path::from_nodes`) picks. Slots follow
+/// node ids, so head order is node-id order.
+#[derive(Debug)]
+struct Arcs {
+    start: Vec<u32>,
+    arcs: Vec<(u32, LinkId)>,
+}
+
+impl Arcs {
+    fn of(g: &Graph, slot: &[u32], switches: &[NodeId]) -> Self {
+        let mut start = Vec::with_capacity(switches.len() + 1);
+        let mut arcs = Vec::new();
+        let mut buf = Vec::new();
+        start.push(0);
+        for &sw in switches {
+            buf.clear();
+            buf.extend(g.neighbors(sw).iter().filter_map(|&(v, l)| {
+                let vs = slot[v.idx()];
+                (vs != NO_SLOT).then_some((vs, l))
+            }));
+            // Stable: the first link to each neighbour survives the dedup.
+            buf.sort_by_key(|a| a.0);
+            buf.dedup_by_key(|a| a.0);
+            arcs.extend_from_slice(&buf);
+            start.push(arcs.len() as u32);
+        }
+        Self { start, arcs }
+    }
+
+    fn out(&self, u: u32) -> &[(u32, LinkId)] {
+        &self.arcs[self.start[u as usize] as usize..self.start[u as usize + 1] as usize]
+    }
+}
 
 /// The shortest-path DAG towards one egress switch, switch-indexed.
-#[derive(Debug, Clone)]
-struct EgressTable {
-    /// Hops to the egress; [`UNREACHED`] when disconnected.
+#[derive(Debug)]
+struct Egress {
+    /// Hops from the egress along out-arcs, the distance
+    /// `equal_cost_paths` measures; [`UNREACHED`] when disconnected.
     dist: Box<[u16]>,
-    /// Shortest paths to the egress, saturated at [`CAP`].
+    /// Shortest paths to the egress, saturated at [`CAP`]; [`UNKNOWN`]
+    /// until a route needs it, and empty until the first route into the
+    /// egress.
     count: Box<[u16]>,
 }
 
-/// One DAG arc out of a switch: `(next node, its slot, the link taken)`.
-type Hop = (NodeId, u32, LinkId);
+/// Paths from `u` to the egress of `dist` along the DAG arcs whose link
+/// `up` admits, saturated at [`CAP`]. `memo` holds the counts known so
+/// far ([`UNKNOWN`] elsewhere, 1 at the egress); the call memoizes `u`'s
+/// whole admitted sub-DAG, children before parents, on an explicit
+/// stack instead of the call stack.
+fn dag_count(
+    arcs: &Arcs,
+    dist: &[u16],
+    memo: &mut [u16],
+    stack: &mut Vec<u32>,
+    u: u32,
+    up: impl Fn(LinkId) -> bool,
+) -> u16 {
+    stack.clear();
+    stack.push(u);
+    while let Some(&x) = stack.last() {
+        if memo[x as usize] != UNKNOWN {
+            stack.pop();
+            continue;
+        }
+        let dx = dist[x as usize];
+        let mut total = 0u16;
+        let mut ready = true;
+        if dx != UNREACHED {
+            for &(y, l) in arcs.out(x) {
+                if dist[y as usize].wrapping_add(1) != dx || !up(l) {
+                    continue;
+                }
+                match memo[y as usize] {
+                    UNKNOWN => {
+                        stack.push(y);
+                        ready = false;
+                    }
+                    c => total = total.saturating_add(c).min(CAP),
+                }
+            }
+        }
+        if ready {
+            memo[x as usize] = total;
+            stack.pop();
+        }
+    }
+    memo[u as usize]
+}
+
+/// A fresh count memo over `n` switches towards egress `to`: one path
+/// at the egress, every other count [`UNKNOWN`].
+fn unknown_counts(n: usize, to: u32) -> Box<[u16]> {
+    let mut memo = vec![UNKNOWN; n].into_boxed_slice();
+    memo[to as usize] = 1;
+    memo
+}
+
+/// A failure set: whether a link is down.
+type IsDown<'a> = &'a dyn Fn(LinkId) -> bool;
+
+/// One egress's DAG, read-only, once the counts a walk reads are
+/// memoized: every switch a walk from a counted switch can visit is
+/// counted, and under failures every one it can visit over live arcs
+/// has its alive count.
+struct Dag<'a> {
+    arcs: &'a Arcs,
+    dist: &'a [u16],
+    count: &'a [u16],
+    to: u32,
+    /// Alive-path counts and the failure set, under failures.
+    alive: Option<(&'a [u16], IsDown<'a>)>,
+}
+
+impl Dag<'_> {
+    /// The DAG arcs out of `u`: to switches one hop closer, by node id.
+    fn successors(&self, u: u32) -> impl Iterator<Item = (u32, LinkId)> + '_ {
+        let du = self.dist[u as usize];
+        self.arcs
+            .out(u)
+            .iter()
+            .copied()
+            .filter(move |&(v, _)| self.dist[v as usize].wrapping_add(1) == du)
+    }
+
+    fn count(&self, u: u32) -> u16 {
+        let c = self.count[u as usize];
+        debug_assert_ne!(c, UNKNOWN, "count read before it was memoized");
+        c
+    }
+
+    /// Alive paths among the first `budget` shortest paths (in
+    /// lexicographic order) from switch `u`.
+    fn alive_prefix(&self, u: u32, mut budget: u16) -> u16 {
+        let (alive, is_down) = self.alive.expect("alive counts");
+        if u == self.to {
+            return u16::from(budget > 0);
+        }
+        let mut total = 0;
+        for (vs, l) in self.successors(u) {
+            if budget == 0 {
+                break;
+            }
+            let c = self.count(vs);
+            if c < CAP && budget >= c {
+                // Every path through `vs` ranks inside the budget.
+                if !is_down(l) {
+                    debug_assert_ne!(alive[vs as usize], UNKNOWN);
+                    total += alive[vs as usize];
+                }
+                budget -= c;
+            } else {
+                // The budget ends inside `vs`'s sub-DAG.
+                if !is_down(l) {
+                    total += self.alive_prefix(vs, budget);
+                }
+                break;
+            }
+        }
+        total
+    }
+
+    /// Unranks path `i` among the first `budget` paths (in lexicographic
+    /// order) from switch `u`, appending its switches and links. Under
+    /// failures `i` counts only the alive ones.
+    fn walk(&self, mut u: u32, mut i: u16, mut budget: u16, mut step: impl FnMut(u32, LinkId)) {
+        while u != self.to {
+            let mut next = None;
+            for (vs, l) in self.successors(u) {
+                let c = self.count(vs);
+                // Does every path through `vs` rank inside the budget?
+                let whole = c < CAP && budget >= c;
+                let weight = match self.alive {
+                    None if whole => c,
+                    None => budget,
+                    Some((_, down)) if down(l) => 0,
+                    Some((alive, _)) if whole => alive[vs as usize],
+                    Some(_) => self.alive_prefix(vs, budget),
+                };
+                if i < weight {
+                    next = Some((vs, l));
+                    budget = budget.min(c);
+                    break;
+                }
+                i -= weight;
+                budget -= budget.min(c);
+            }
+            let (vs, l) = next.expect("rank below the path count");
+            step(vs, l);
+            u = vs;
+        }
+    }
+}
 
 /// Where a path enters or leaves the switch graph.
 #[derive(Debug, Clone, Copy)]
@@ -167,24 +367,29 @@ struct Anchor {
 /// Chooses exactly the path `select_by_hash(&equal_cost_paths(g, src,
 /// dst), src, dst, flow_id)` would, without enumerating the set:
 ///
-/// * Per egress switch `D` it lazily builds a table over the switch
-///   nodes: BFS hop distance to `D`, and the number of shortest paths to
-///   `D` (a DAG count in BFS order), saturated at [`MAX_ECMP_PATHS`].
-///   Servers are leaves, so one table serves every destination server
-///   on `D`, and every flow from any server.
-/// * A flow from ingress switch `S` takes index
-///   `i = flow_hash % min(count[S], cap)`. The walk from `S` visits the
-///   DAG successors (switches one hop closer, sorted by node id, parallel
-///   links collapsed) and descends into the first whose count exceeds
-///   the remaining `i`, subtracting the counts it skips — the `i`-th
-///   path in the oracle's lexicographic order. A saturated count is
-///   still exact for this test because `i < cap`.
+/// * The router keeps the switch graph once, as a server-free arc list
+///   per switch sorted by neighbour id with parallel links collapsed.
+///   Egress switches are grouped in blocks of 64, the switches with
+///   servers first. On the first route into an egress switch `D` it
+///   runs one word-parallel BFS ([`SwitchView`]'s level loop) from
+///   `D`'s whole block, and writes each lane's hop distances. Servers
+///   are leaves, so one table serves every destination server on `D`,
+///   and every flow from any server.
+/// * Path counts towards `D` — the number of shortest paths, saturated
+///   at [`MAX_ECMP_PATHS`] — are memoized on demand: a flow from
+///   ingress switch `S` counts `S`'s sub-DAG only.
+/// * A flow from `S` takes index `i = flow_hash % min(count[S], cap)`.
+///   The walk from `S` visits the DAG successors (switches one hop
+///   closer, by node id) and descends into the first whose count
+///   exceeds the remaining `i`, subtracting the counts it skips — the
+///   `i`-th path in the oracle's lexicographic order. A saturated count
+///   is still exact for this test because `i < cap`.
 ///
 /// Under failures ([`EcmpRouter::select_surviving`]) the hash indexes the
 /// *surviving* members of the capped set, in the same order. Per failure
-/// epoch and egress the router counts alive paths on the DAG with failed
-/// arcs masked; when the cap binds, the walk counts only alive paths
-/// whose full rank is below the cap.
+/// epoch and egress the router memoizes alive-path counts on the DAG
+/// with failed arcs masked; when the cap binds, the walk counts only
+/// alive paths whose full rank is below the cap.
 ///
 /// Endpoints are switches, or servers attached to exactly one switch
 /// (FT-G005). Distances beyond `u16::MAX - 1` hops count as unreachable.
@@ -194,18 +399,29 @@ pub struct EcmpRouter {
     slot: Vec<u32>,
     /// Switch slot → node.
     switches: Vec<NodeId>,
-    /// Per egress slot; built on first use, valid for the graph's life.
-    tables: Vec<Option<EgressTable>>,
+    arcs: Arcs,
+    /// The same arcs as an incoming-link view, for the distance BFS.
+    view: SwitchView,
+    lanes: Lanes,
+    /// Switch slots in block order: the switches with servers first,
+    /// then the rest, each group by node id.
+    order: Vec<u32>,
+    /// Switch slot → its position in `order`.
+    position: Vec<u32>,
+    /// Per egress slot, filled a [`BLOCK`] of `order` at a time on the
+    /// first route into it; valid for the graph's life.
+    egress: Vec<Option<Egress>>,
     /// Per egress slot, alive-path counts under the failure set of
-    /// `alive_epoch`, saturated at [`CAP`].
+    /// `alive_epoch`, memoized like the path counts.
     alive: Vec<Option<Box<[u16]>>>,
     alive_epoch: Option<u64>,
-    /// Scratch successor lists, one per walk depth.
-    hops: Vec<Vec<Hop>>,
+    /// Scratch stack of [`dag_count`].
+    stack: Vec<u32>,
 }
 
 impl EcmpRouter {
-    /// A router for `g`. Tables are built lazily per egress switch.
+    /// A router for `g`. Tables are built lazily per block of egress
+    /// switches.
     pub fn new(g: &Graph) -> Self {
         let mut slot = vec![NO_SLOT; g.node_count()];
         let mut switches = Vec::new();
@@ -215,13 +431,43 @@ impl EcmpRouter {
                 switches.push(n);
             }
         }
+        let arcs = Arcs::of(g, &slot, &switches);
+        let mut serves = vec![false; switches.len()];
+        for s in g.node_ids() {
+            match g.server_uplink_switch(s).map(|sw| slot[sw.idx()]) {
+                Some(u) if u != NO_SLOT => serves[u as usize] = true,
+                _ => {}
+            }
+        }
+        let mut order: Vec<u32> = (0..switches.len() as u32).collect();
+        order.sort_by_key(|&u| !serves[u as usize]);
+        let mut position = vec![0; switches.len()];
+        for (i, &u) in order.iter().enumerate() {
+            position[u as usize] = i as u32;
+        }
+        let mut view = SwitchView::default();
+        view.rebuild(switches.len(), |wire| {
+            for u in 0..switches.len() {
+                for &(v, _) in arcs.out(u as u32) {
+                    wire(Wire::Link {
+                        from: u,
+                        to: v as usize,
+                    });
+                }
+            }
+        });
         Self {
             slot,
-            tables: vec![None; switches.len()],
+            arcs,
+            view,
+            lanes: Lanes::default(),
+            order,
+            position,
+            egress: (0..switches.len()).map(|_| None).collect(),
             alive: Vec::new(),
             alive_epoch: None,
             switches,
-            hops: Vec::new(),
+            stack: Vec::new(),
         }
     }
 
@@ -232,9 +478,9 @@ impl EcmpRouter {
             return (i == 0).then(|| Path::from_nodes(g, &[src]))?;
         }
         let (from, to) = self.anchors(g, src, dst)?;
-        let n = self.table(g, to.slot).count[from.slot as usize];
+        let n = self.path_count(to.slot, from.slot);
         // `i < n <= CAP`, so the cast is lossless.
-        (i < usize::from(n)).then(|| self.walk(g, from, to, i as u16, n, None))
+        (i < usize::from(n)).then(|| self.walk(from, to, i as u16, n, None))
     }
 
     /// The path ECMP assigns to flow `flow_id` with every link up, or
@@ -244,12 +490,12 @@ impl EcmpRouter {
             return Path::from_nodes(g, &[src]);
         }
         let (from, to) = self.anchors(g, src, dst)?;
-        let n = self.table(g, to.slot).count[from.slot as usize];
+        let n = self.path_count(to.slot, from.slot);
         if n == 0 {
             return None;
         }
         let i = (flow_hash(src, dst, flow_id) % u64::from(n)) as u16;
-        Some(self.walk(g, from, to, i, n, None))
+        Some(self.walk(from, to, i, n, None))
     }
 
     /// The path ECMP assigns to flow `flow_id` when the links `is_down`
@@ -277,17 +523,19 @@ impl EcmpRouter {
         if legs.iter().flatten().any(|&(_, l)| is_down(l)) {
             return None;
         }
-        let budget = self.table(g, to.slot).count[from.slot as usize];
+        let budget = self.path_count(to.slot, from.slot);
         if budget == 0 {
             return None;
         }
-        self.ensure_alive(g, to.slot, epoch, &is_down);
-        let n = self.alive_prefix(g, to.slot, from.slot, budget, 0, &is_down);
+        self.fill_alive(to.slot, from.slot, epoch, &is_down);
+        let n = self
+            .dag(to.slot, Some(&is_down))
+            .alive_prefix(from.slot, budget);
         if n == 0 {
             return None;
         }
         let j = (flow_hash(src, dst, flow_id) % u64::from(n)) as u16;
-        Some(self.walk(g, from, to, j, budget, Some(&is_down)))
+        Some(self.walk(from, to, j, budget, Some(&is_down)))
     }
 
     /// Ingress and egress anchors of a route, or `None` for an endpoint
@@ -313,171 +561,99 @@ impl EcmpRouter {
         Some((anchor(src, true)?, anchor(dst, false)?))
     }
 
-    /// The egress table of `to`, built on first use.
-    fn table(&mut self, g: &Graph, to: u32) -> &EgressTable {
-        let (slot, switches) = (&self.slot, &self.switches);
-        self.tables[to as usize].get_or_insert_with(|| {
-            let n = switches.len();
-            let mut dist = vec![UNREACHED; n];
-            let mut order = Vec::with_capacity(n);
-            dist[to as usize] = 0;
-            order.push(to);
-            let mut head = 0;
-            while let Some(&u) = order.get(head) {
-                head += 1;
-                let du = dist[u as usize];
-                if du == UNREACHED - 1 {
-                    continue;
-                }
-                for &(v, _) in g.neighbors(switches[u as usize]) {
-                    let vs = slot[v.idx()];
-                    if vs != NO_SLOT && dist[vs as usize] == UNREACHED {
-                        dist[vs as usize] = du + 1;
-                        order.push(vs);
-                    }
-                }
-            }
-            // BFS order lists every successor before its predecessors.
-            let mut count = vec![0u16; n];
-            count[to as usize] = 1;
-            let mut seen = vec![NO_SLOT; n];
-            for &u in &order[1..] {
-                let du = dist[u as usize];
-                let mut c = 0u16;
-                for &(v, _) in g.neighbors(switches[u as usize]) {
-                    let vs = slot[v.idx()];
-                    if vs == NO_SLOT || dist[vs as usize] + 1 != du || seen[vs as usize] == u {
-                        continue;
-                    }
-                    seen[vs as usize] = u;
-                    c = c.saturating_add(count[vs as usize]).min(CAP);
-                }
-                count[u as usize] = c;
-            }
-            EgressTable {
-                dist: dist.into_boxed_slice(),
-                count: count.into_boxed_slice(),
-            }
-        })
+    /// Shortest paths from switch `u` to egress `to`, saturated at
+    /// [`CAP`]; builds `to`'s block of distances on first use.
+    fn path_count(&mut self, to: u32, u: u32) -> u16 {
+        if self.egress[to as usize].is_none() {
+            self.build_block(self.position[to as usize] as usize / BLOCK);
+        }
+        let e = self.egress[to as usize].as_mut().expect("block built");
+        if e.count.is_empty() {
+            e.count = unknown_counts(e.dist.len(), to);
+        }
+        dag_count(
+            &self.arcs,
+            &e.dist,
+            &mut e.count,
+            &mut self.stack,
+            u,
+            |_| true,
+        )
     }
 
-    /// Fills `hops[depth]` with the DAG successors of switch `u` towards
-    /// egress `to`, sorted by node id; parallel links collapse onto the
-    /// first one, the link `Graph::find_link` (and so `Path::from_nodes`)
-    /// picks.
-    fn successors(&mut self, g: &Graph, to: u32, u: u32, depth: usize) {
-        if self.hops.len() <= depth {
-            self.hops.resize_with(depth + 1, Vec::new);
+    /// Hop distances towards every egress switch of `block`, from one
+    /// word-parallel BFS with egress `order[block * BLOCK + i]` on lane
+    /// `i`.
+    fn build_block(&mut self, block: usize) {
+        let n = self.switches.len();
+        let lanes = &self.order[block * BLOCK..n.min((block + 1) * BLOCK)];
+        let mut dist: Vec<Box<[u16]>> = lanes
+            .iter()
+            .map(|&e| {
+                let mut d = vec![UNREACHED; n].into_boxed_slice();
+                d[e as usize] = 0;
+                d
+            })
+            .collect();
+        self.view
+            .bfs_levels(lanes, &mut self.lanes, |hops, v, mut new| {
+                let Some(hops) = u16::try_from(hops).ok().filter(|&h| h < UNREACHED) else {
+                    return;
+                };
+                while new != 0 {
+                    dist[new.trailing_zeros() as usize][v] = hops;
+                    new &= new - 1;
+                }
+            });
+        for (&e, dist) in lanes.iter().zip(dist) {
+            let count = Box::default();
+            self.egress[e as usize] = Some(Egress { dist, count });
         }
-        let t = self.tables[to as usize].as_ref().expect("table built");
-        let du = t.dist[u as usize];
-        let buf = &mut self.hops[depth];
-        buf.clear();
-        for &(v, l) in g.neighbors(self.switches[u as usize]) {
-            let vs = self.slot[v.idx()];
-            if vs != NO_SLOT && t.dist[vs as usize].wrapping_add(1) == du {
-                buf.push((v, vs, l));
-            }
-        }
-        // Stable: the first link to each neighbour survives the dedup.
-        buf.sort_by_key(|h| h.0);
-        buf.dedup_by_key(|h| h.0);
     }
 
-    /// Computes the alive-path counts towards `to` for this epoch's
-    /// failure set, if not cached yet.
-    fn ensure_alive(&mut self, g: &Graph, to: u32, epoch: u64, is_down: &dyn Fn(LinkId) -> bool) {
+    /// Memoizes the alive-path counts of switch `u`'s sub-DAG towards
+    /// egress `to` under this epoch's failure set. `to`'s distances must
+    /// be built.
+    fn fill_alive(&mut self, to: u32, u: u32, epoch: u64, is_down: IsDown<'_>) {
+        let n = self.switches.len();
         if self.alive_epoch != Some(epoch) {
             self.alive.clear();
-            self.alive.resize(self.switches.len(), None);
+            self.alive.resize(n, None);
             self.alive_epoch = Some(epoch);
         }
-        if self.alive[to as usize].is_some() {
-            return;
-        }
-        let dist = &self.tables[to as usize].as_ref().expect("table built").dist;
-        let mut alive = vec![0u16; dist.len()];
-        let mut order: Vec<u32> = (0..dist.len() as u32)
-            .filter(|&u| dist[u as usize] != UNREACHED)
-            .collect();
-        order.sort_by_key(|&u| dist[u as usize]);
-        alive[to as usize] = 1;
-        for &u in &order[1..] {
-            self.successors(g, to, u, 0);
-            let mut c = 0u16;
-            for &(_, vs, l) in &self.hops[0] {
-                if !is_down(l) {
-                    c = c.saturating_add(alive[vs as usize]).min(CAP);
-                }
-            }
-            alive[u as usize] = c;
-        }
-        self.alive[to as usize] = Some(alive.into_boxed_slice());
+        let alive = self.alive[to as usize].get_or_insert_with(|| unknown_counts(n, to));
+        let e = self.egress[to as usize].as_ref().expect("block built");
+        dag_count(&self.arcs, &e.dist, alive, &mut self.stack, u, |l| {
+            !is_down(l)
+        });
     }
 
-    /// Alive paths among the first `budget` shortest paths (in
-    /// lexicographic order) from switch `u` to egress `to`.
-    fn alive_prefix(
-        &mut self,
-        g: &Graph,
-        to: u32,
-        u: u32,
-        mut budget: u16,
-        depth: usize,
-        is_down: &dyn Fn(LinkId) -> bool,
-    ) -> u16 {
-        if u == to {
-            return u16::from(budget > 0);
+    /// The read-only DAG towards `to`, with its alive counts when
+    /// `is_down` is given.
+    fn dag<'a>(&'a self, to: u32, is_down: Option<IsDown<'a>>) -> Dag<'a> {
+        let e = self.egress[to as usize].as_ref().expect("block built");
+        Dag {
+            arcs: &self.arcs,
+            dist: &e.dist,
+            count: &e.count,
+            to,
+            alive: is_down.map(|down| {
+                let alive = self.alive[to as usize].as_deref().expect("alive counts");
+                (alive, down)
+            }),
         }
-        self.successors(g, to, u, depth);
-        let mut total = 0;
-        for k in 0..self.hops[depth].len() {
-            if budget == 0 {
-                break;
-            }
-            let (_, vs, l) = self.hops[depth][k];
-            let c = self.count(to, vs);
-            if c < CAP && budget >= c {
-                // Every path through `vs` ranks inside the budget.
-                if !is_down(l) {
-                    total += self.alive_count(to, vs);
-                }
-                budget -= c;
-            } else {
-                // The budget ends inside `vs`'s sub-DAG.
-                if !is_down(l) {
-                    total += self.alive_prefix(g, to, vs, budget, depth + 1, is_down);
-                }
-                break;
-            }
-        }
-        total
     }
 
-    fn count(&self, to: u32, u: u32) -> u16 {
-        self.tables[to as usize]
-            .as_ref()
-            .expect("table built")
-            .count[u as usize]
-    }
-
-    fn alive_count(&self, to: u32, u: u32) -> u16 {
-        self.alive[to as usize]
-            .as_ref()
-            .expect("alive counts built")[u as usize]
-    }
-
-    /// Unranks path `i` among the first `budget` paths (in lexicographic
-    /// order) from `from` to `to`. With `is_down`, `i` counts only the
-    /// alive ones.
+    /// Path `i` among the first `budget` (in lexicographic order) from
+    /// `from` to `to`, server legs attached. With `is_down`, `i` counts
+    /// only the alive ones.
     fn walk(
-        &mut self,
-        g: &Graph,
+        &self,
         from: Anchor,
         to: Anchor,
-        mut i: u16,
-        mut budget: u16,
-        is_down: Option<&dyn Fn(LinkId) -> bool>,
+        i: u16,
+        budget: u16,
+        is_down: Option<IsDown<'_>>,
     ) -> Path {
         let mut nodes = Vec::new();
         let mut links = Vec::new();
@@ -485,36 +661,12 @@ impl EcmpRouter {
             nodes.push(s);
             links.push(up);
         }
-        let mut u = from.slot;
-        nodes.push(self.switches[u as usize]);
-        while u != to.slot {
-            self.successors(g, to.slot, u, 0);
-            let mut next = None;
-            for k in 0..self.hops[0].len() {
-                let (v, vs, l) = self.hops[0][k];
-                let c = self.count(to.slot, vs);
-                // Does every path through `vs` rank inside the budget?
-                let whole = c < CAP && budget >= c;
-                let weight = match is_down {
-                    None if whole => c,
-                    None => budget,
-                    Some(down) if down(l) => 0,
-                    Some(_) if whole => self.alive_count(to.slot, vs),
-                    Some(down) => self.alive_prefix(g, to.slot, vs, budget, 1, down),
-                };
-                if i < weight {
-                    next = Some((v, vs, l));
-                    budget = budget.min(c);
-                    break;
-                }
-                i -= weight;
-                budget -= budget.min(c);
-            }
-            let (v, vs, l) = next.expect("rank below the path count");
-            nodes.push(v);
-            links.push(l);
-            u = vs;
-        }
+        nodes.push(self.switches[from.slot as usize]);
+        self.dag(to.slot, is_down)
+            .walk(from.slot, i, budget, |v, l| {
+                nodes.push(self.switches[v as usize]);
+                links.push(l);
+            });
         if let Some((t, down)) = to.leg {
             nodes.push(t);
             links.push(down);

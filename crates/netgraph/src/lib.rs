@@ -11,7 +11,10 @@
 //!   shortest paths by counting and unranking on the switch graph (the
 //!   Clos/ECMP baseline of §5.2), plus the enumeration oracle,
 //! * [`metrics`] — diameter and average shortest-path length (§3.4 uses the
-//!   average server-pair path length to profile the `(m, n)` split).
+//!   average server-pair path length to profile the `(m, n)` split),
+//! * [`switch_graph`] — the server-free switch graph and the
+//!   word-parallel BFS that path length, diameter and the ECMP tables
+//!   share.
 //!
 //! Nodes carry a [`NodeKind`] so that path algorithms can refuse to route
 //! *through* servers: a server may only appear as the first or last hop of a
@@ -50,6 +53,7 @@ pub mod graph;
 pub mod metrics;
 pub mod mincut;
 pub mod path;
+pub mod switch_graph;
 pub mod yen;
 
 pub use arena::{PathArena, PathId};

@@ -4,7 +4,7 @@
 //! random extra duplex links), then check algebraic invariants of the
 //! shortest-path, Yen, and ECMP implementations.
 
-use netgraph::{dijkstra, ecmp, metrics, yen, Graph, NodeId, NodeKind};
+use netgraph::{dijkstra, ecmp, metrics, yen, Graph, LinkId, NodeId, NodeKind};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -59,6 +59,57 @@ fn random_server_graph(
     g
 }
 
+/// A random graph for routing across the ECMP router's 64-switch
+/// distance blocks. The fabric is a grid of `n - 2` switches, `cols`
+/// wide and numbered row by row, so equal-cost paths are plentiful and
+/// the 512-path cap binds on far pairs. About one grid cable in eight
+/// is left out, `shortcuts` random cables are added and `parallel`
+/// cables are doubled. A 2-switch island and servers on random switches
+/// complete it. Servers are interleaved with the switches in node-id
+/// order, so a switch's index among the switches differs from its node
+/// id.
+fn block_graph(n: usize, cols: usize, shortcuts: usize, parallel: usize, seed: u64) -> Graph {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut g = Graph::new();
+    let mut switches = Vec::new();
+    let mut servers = Vec::new();
+    while switches.len() < n {
+        if rng.gen_bool(0.3) {
+            servers.push(g.add_node(NodeKind::Server, format!("s{}", servers.len())));
+        } else {
+            switches.push(g.add_node(NodeKind::GenericSwitch, format!("n{}", switches.len())));
+        }
+    }
+    let fabric = n - 2;
+    let mut cables = Vec::new();
+    for i in 0..fabric {
+        for j in [i + 1, i + cols] {
+            let neighbour = j < fabric && (j == i + cols || j % cols != 0);
+            if neighbour && rng.gen_range(0..8) != 0 {
+                cables.push((i, j));
+            }
+        }
+    }
+    for _ in 0..shortcuts {
+        let (a, b) = (rng.gen_range(0..fabric), rng.gen_range(0..fabric));
+        if a != b {
+            cables.push((a, b));
+        }
+    }
+    for _ in 0..parallel {
+        let (a, b) = cables[rng.gen_range(0..cables.len())];
+        cables.push((b, a));
+    }
+    cables.push((fabric, fabric + 1));
+    for (a, b) in cables {
+        g.add_duplex_link(switches[a], switches[b], 10.0);
+    }
+    for s in servers {
+        g.add_duplex_link(s, switches[rng.gen_range(0..n)], 10.0);
+    }
+    g
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -89,6 +140,32 @@ proptest! {
         let want = (pairs > 0).then(|| total as f64 / pairs as f64);
         let got = metrics::avg_server_path_length(&g);
         prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+    }
+
+    /// The word-parallel switch diameter equals the deepest distance of
+    /// a BFS per switch, over more than one 64-source batch.
+    #[test]
+    fn diameter_matches_per_switch_bfs(
+        n in 1usize..160,
+        extra in 0usize..40,
+        island in 0usize..6,
+        seed in any::<u64>(),
+    ) {
+        let g = random_server_graph(n, extra, island, 1, seed);
+        let switches = g.switches();
+        let want = switches
+            .iter()
+            .flat_map(|&s| {
+                let d = dijkstra::hop_distances(&g, s);
+                switches
+                    .iter()
+                    .filter(move |&&t| t != s)
+                    .map(move |&t| d[t.idx()])
+                    .filter(|&d| d != usize::MAX)
+                    .collect::<Vec<_>>()
+            })
+            .max();
+        prop_assert_eq!(metrics::switch_diameter(&g), want);
     }
 
     /// Yen paths are simple, sorted by length, distinct, and the first one
@@ -167,6 +244,99 @@ proptest! {
             let (cost, p) = dijkstra::shortest_path_by(&g, src, dst, |_| 1.0).unwrap();
             prop_assert_eq!(cost as usize, hops);
             prop_assert_eq!(p.len(), hops);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The ECMP router against the enumeration oracle on graphs that
+    /// span several 64-egress distance blocks. Egress switches sit on
+    /// both sides of each block boundary (lanes 63 and 0), in the
+    /// partial last block, where the switches with servers end, and on
+    /// the island; every ingress switch is in another block than its
+    /// egress, and endpoints are switches or their servers. One router serves every pair and failure epoch:
+    /// `nth_path` must equal `equal_cost_paths` at every rank, and
+    /// `select_surviving` the hash over the oracle's survivors.
+    #[test]
+    fn ecmp_matches_oracle_across_blocks(
+        n in 67usize..=200,
+        cols in 4usize..16,
+        shortcuts in 0usize..6,
+        parallel in 0usize..12,
+        seed in any::<u64>(),
+    ) {
+        let g = block_graph(n, cols, shortcuts, parallel, seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(!seed);
+        let switches = g.switches();
+        let serves = |slot: usize| {
+            g.neighbors(switches[slot])
+                .iter()
+                .any(|&(v, _)| g.node(v).kind == NodeKind::Server)
+        };
+        // The router's block order: the switches with servers first, then
+        // the rest, each by node id. `order[p]` is lane `p % 64` of
+        // block `p / 64`.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&slot| !serves(slot));
+        let block = |slot: usize| order.iter().position(|&s| s == slot).unwrap() / 64;
+        let served = order.iter().filter(|&&slot| serves(slot)).count();
+        let mut positions = vec![63, 64, n - 3, n - 2, n - 1, rng.gen_range(0..n)];
+        positions.extend([served.saturating_sub(1), served.min(n - 1)]);
+        if n > 128 {
+            positions.extend([127, 128]);
+        }
+        let mut egresses: Vec<usize> = positions.iter().map(|&p| order[p]).collect();
+        egresses.push(n - 1); // the island
+        // A server on `slot`'s switch half of the time, else the switch.
+        let endpoint = |slot: usize, rng: &mut ChaCha8Rng| {
+            let sw = switches[slot];
+            let server = g
+                .neighbors(sw)
+                .iter()
+                .map(|&(v, _)| v)
+                .find(|&v| g.node(v).kind == NodeKind::Server);
+            match server {
+                Some(s) if rng.gen_bool(0.5) => s,
+                _ => sw,
+            }
+        };
+        let mut pairs = Vec::new();
+        for &to in &egresses {
+            let from = loop {
+                let from = rng.gen_range(0..n - 2);
+                if block(from) != block(to) {
+                    break from;
+                }
+            };
+            pairs.push((endpoint(from, &mut rng), endpoint(to, &mut rng)));
+        }
+
+        let mut router = ecmp::EcmpRouter::new(&g);
+        for &(src, dst) in &pairs {
+            let paths = ecmp::equal_cost_paths(&g, src, dst);
+            for (i, p) in paths.iter().enumerate() {
+                let got = router.nth_path(&g, src, dst, i);
+                prop_assert_eq!(got.as_ref(), Some(p), "{:?}->{:?} rank {}", src, dst, i);
+            }
+            prop_assert!(router.nth_path(&g, src, dst, paths.len()).is_none());
+        }
+        for epoch in 1..=3u64 {
+            let p = rng.gen_range(0.02..0.3);
+            let down: Vec<bool> = g.link_ids().map(|_| rng.gen_bool(p)).collect();
+            let is_down = |l: LinkId| down[l.idx()];
+            for &(src, dst) in &pairs {
+                let alive: Vec<_> = ecmp::equal_cost_paths(&g, src, dst)
+                    .into_iter()
+                    .filter(|p| !p.links.iter().any(|&l| is_down(l)))
+                    .collect();
+                for fid in 0..8u64 {
+                    let want = ecmp::select_by_hash(&alive, src, dst, fid);
+                    let got = router.select_surviving(&g, src, dst, fid, epoch, is_down);
+                    prop_assert_eq!(got.as_ref(), want, "{:?}->{:?} epoch {} flow {}", src, dst, epoch, fid);
+                }
+            }
         }
     }
 }

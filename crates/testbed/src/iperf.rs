@@ -166,11 +166,21 @@ pub fn run(rig: &TestbedRig, params: &IperfParams) -> IperfResult {
     assert_eq!(params.segments[0].start_s, 0.0, "timeline starts at 0");
     let pods = rig.controller.flat_tree().pods();
 
-    // Steady states and conversion delays per boundary.
+    // Steady states and conversion delays per boundary. A mode's steady
+    // state does not depend on the segment, so each mode is solved once.
     let mut steady = Vec::new();
     let mut conv_ms = Vec::new();
+    let mut by_mode: Vec<(PodMode, f64)> = Vec::new();
     for seg in &params.segments {
-        steady.push(steady_state_gbps(rig, seg.mode));
+        let gbps = match by_mode.iter().find(|&&(m, _)| m == seg.mode) {
+            Some(&(_, v)) => v,
+            None => {
+                let v = steady_state_gbps(rig, seg.mode);
+                by_mode.push((seg.mode, v));
+                v
+            }
+        };
+        steady.push(gbps);
         let report = rig
             .controller
             .convert(&ModeAssignment::uniform(pods, seg.mode));
