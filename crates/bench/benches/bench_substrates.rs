@@ -9,7 +9,7 @@ use flowsim::provider::{EcmpProvider, PathProvider};
 use flowsim::FailedLinks;
 use ft_bench::experiments::common;
 use mcf::IncrementalAllocator;
-use netgraph::{LinkId, PathArena};
+use netgraph::PathArena;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -36,15 +36,7 @@ fn bench(c: &mut Criterion) {
         PodMode::Global,
     );
     let g = &inst.net.graph;
-    let cables: Vec<LinkId> = g
-        .link_ids()
-        .filter(|&l| {
-            let info = g.link(l);
-            g.node(info.src).kind.is_switch()
-                && g.node(info.dst).kind.is_switch()
-                && info.reverse.is_none_or(|r| r.0 > l.0)
-        })
-        .collect();
+    let cables = g.switch_cables();
     let failure_sets: Vec<Vec<bool>> = (0..4)
         .map(|_| {
             let mut cut = cables.clone();

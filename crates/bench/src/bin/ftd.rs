@@ -1,13 +1,10 @@
 //! `ftd` — the flat-tree sweep worker daemon.
 //!
-//! Speaks the length-prefixed [`ft_bench::dispatch::wire`] protocol:
+//! Speaks the length-prefixed [`ft_bench::dispatch::wire`] protocol
+//! over the stdin/stdout pipe pair the dispatch driver wires up:
 //! announces itself with a `Hello` frame, then computes one
 //! `CellResult` per leased `WorkerParams` until the driver sends
-//! `Shutdown` or closes the stream. By default the transport is the
-//! stdin/stdout pipe pair the dispatch driver wires up; with
-//! `--listen <addr>` it binds a TCP listener instead and serves
-//! connections sequentially (simulation-as-a-service: point any driver
-//! or script at the port).
+//! `Shutdown` or closes the stream.
 //!
 //! Exit codes: 0 clean shutdown/EOF, 2 usage error, 3 chaos-directed
 //! garbage emission, 4 unrecoverable protocol error.
@@ -23,139 +20,36 @@ use ft_bench::dispatch::wire::{
 };
 use ft_bench::experiments::faultsweep;
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-fn usage() -> String {
-    "usage: ftd [--listen <addr:port>] [--read-timeout-ms <ms>]\n\
+const USAGE: &str = "usage: ftd\n\
+     \n\
+     Serves the dispatch wire protocol on stdin/stdout.\n\
      \n\
      options:\n\
-     \x20 --listen <addr:port>     serve the wire protocol on a TCP listener\n\
-     \x20                          (default: stdin/stdout pipes)\n\
-     \x20 --read-timeout-ms <ms>   drop a TCP peer that stays silent this\n\
-     \x20                          long and accept the next connection\n\
-     \x20                          (default 30000; 0 waits forever)\n\
-     \x20 --help                   print this message"
-        .to_string()
-}
-
-/// Default TCP read deadline: a peer that sends nothing for this long
-/// is treated as half-open and dropped so the accept loop can serve the
-/// next connection.
-const DEFAULT_READ_TIMEOUT_MS: u64 = 30_000;
+     \x20 --help   print this message";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", usage());
-        return;
-    }
-    let mut listen: Option<String> = None;
-    let mut read_timeout_ms = DEFAULT_READ_TIMEOUT_MS;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--listen" => {
-                i += 1;
-                match args.get(i) {
-                    Some(addr) => listen = Some(addr.clone()),
-                    None => {
-                        eprintln!("ftd: --listen needs an address\n{}", usage());
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--read-timeout-ms" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse::<u64>().ok()) {
-                    Some(ms) => read_timeout_ms = ms,
-                    None => {
-                        eprintln!("ftd: --read-timeout-ms needs a number\n{}", usage());
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("ftd: unknown argument {other:?}\n{}", usage());
-                std::process::exit(2);
-            }
+    match args.as_slice() {
+        [] => {}
+        [arg] if arg == "--help" || arg == "-h" => {
+            println!("{USAGE}");
+            return;
         }
-        i += 1;
-    }
-
-    let code = match listen {
-        None => {
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            serve(
-                &mut BufReader::new(stdin.lock()),
-                &mut BufWriter::new(stdout.lock()),
-            )
+        _ => {
+            eprintln!("ftd: unexpected arguments {args:?}\n{USAGE}");
+            std::process::exit(2);
         }
-        Some(addr) => serve_tcp(&addr, read_timeout_ms),
-    };
+    }
+    let stdin = std::io::stdin();
+    let stdout = std::io::stdout();
+    let code = serve(
+        &mut BufReader::new(stdin.lock()),
+        &mut BufWriter::new(stdout.lock()),
+    );
     std::process::exit(code);
-}
-
-/// Binds `addr` and serves connections one at a time, forever. The
-/// bound address is announced on stdout (one line, then EOF-silence)
-/// so callers binding port 0 can discover the port.
-///
-/// Every accepted stream gets `read_timeout_ms` as its read deadline
-/// (0 = wait forever): a peer that connects and then goes silent —
-/// before its first request or mid-frame — surfaces as a typed
-/// `WireError::Timeout`, the session ends with code 4, and the loop
-/// accepts the next connection instead of hanging the worker slot on a
-/// half-open socket. A peer that *closes* early (before Hello, or
-/// after a partial frame) likewise ends its session with a typed error
-/// and frees the slot.
-fn serve_tcp(addr: &str, read_timeout_ms: u64) -> i32 {
-    let listener = match TcpListener::bind(addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("ftd: cannot bind {addr}: {e}");
-            return 4;
-        }
-    };
-    match listener.local_addr() {
-        Ok(local) => {
-            println!("ftd listening on {local}");
-            let _ = std::io::stdout().flush();
-        }
-        Err(e) => {
-            eprintln!("ftd: local_addr: {e}");
-            return 4;
-        }
-    }
-    loop {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                eprintln!("ftd: serving {peer}");
-                if read_timeout_ms > 0 {
-                    let deadline = std::time::Duration::from_millis(read_timeout_ms);
-                    if let Err(e) = stream.set_read_timeout(Some(deadline)) {
-                        eprintln!("ftd: set_read_timeout for {peer}: {e}");
-                        continue;
-                    }
-                }
-                let Ok(read_half) = stream.try_clone() else {
-                    eprintln!("ftd: cannot clone stream for {peer}");
-                    continue;
-                };
-                let code = serve(&mut BufReader::new(read_half), &mut BufWriter::new(stream));
-                // Garbage emission is terminal even in TCP mode: the
-                // chaos contract is "corrupt the stream, then die".
-                if code == 3 {
-                    return 3;
-                }
-            }
-            Err(e) => {
-                eprintln!("ftd: accept: {e}");
-                return 4;
-            }
-        }
-    }
 }
 
 /// One protocol session: handshake, then serve leases until shutdown.

@@ -48,7 +48,7 @@ use crate::scale::Scale;
 use crate::sweep::CellObserver;
 use chaos::{ChaosAction, ChaosPlan};
 use control::retry::Backoff;
-use obs::{NoopSink, TraceEvent, TraceSink};
+use obs::{TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
@@ -62,8 +62,7 @@ use std::time::{Duration, Instant};
 pub struct DispatchConfig {
     /// Worker processes to spawn (>= 1).
     pub workers: usize,
-    /// Path to the `ftd` worker binary. Resolution order when `None`:
-    /// the `FTD_WORKER` environment variable, then `ftd` next to the
+    /// Path to the `ftd` worker binary; `None` means `ftd` next to the
     /// current executable. A binary that cannot be spawned degrades to
     /// in-process execution.
     pub worker_bin: Option<PathBuf>,
@@ -233,9 +232,6 @@ fn worker_binary(cfg: &DispatchConfig) -> PathBuf {
     if let Some(p) = &cfg.worker_bin {
         return p.clone();
     }
-    if let Some(p) = std::env::var_os("FTD_WORKER") {
-        return PathBuf::from(p);
-    }
     std::env::current_exe().map_or_else(|_| PathBuf::from("ftd"), |p| p.with_file_name("ftd"))
 }
 
@@ -306,15 +302,6 @@ fn spawn_worker(bin: &PathBuf, idx: usize, tx: &Sender<Event>) -> Option<Worker>
     })
 }
 
-/// [`dispatch_cells_traced`] with tracing off.
-pub fn dispatch_cells(
-    scale: Scale,
-    specs: &[CellSpec],
-    cfg: &DispatchConfig,
-) -> (Vec<CellOutput>, DispatchSummary) {
-    dispatch_cells_traced(scale, specs, cfg, &mut NoopSink)
-}
-
 /// Runs `specs` on the distributed plane and returns the grid-ordered
 /// outputs plus the run's [`DispatchSummary`]. The output vector is
 /// byte-identical (after serialization) to
@@ -324,7 +311,7 @@ pub fn dispatch_cells(
 /// `DispatchEnd`); merged cells are also reported to the process-wide
 /// sweep observer so `--metrics` recordings and perfsnap cell counts
 /// keep working unchanged.
-pub fn dispatch_cells_traced<S: TraceSink>(
+pub fn dispatch_cells<S: TraceSink>(
     scale: Scale,
     specs: &[CellSpec],
     cfg: &DispatchConfig,
@@ -880,7 +867,7 @@ fn quarantine<S: TraceSink>(
 }
 
 /// Runs the full faultsweep experiment through the distributed plane:
-/// [`faultsweep::run_with`] with [`dispatch_cells_traced`] as the
+/// [`faultsweep::run_with`] with [`dispatch_cells`] as the
 /// executor. The returned report is byte-identical (after
 /// serialization) to [`faultsweep::run`].
 pub fn run_faultsweep<S: TraceSink>(
@@ -890,7 +877,7 @@ pub fn run_faultsweep<S: TraceSink>(
 ) -> (FaultSweep, DispatchSummary) {
     let mut summary = None;
     let out = faultsweep::run_with(scale, |specs| {
-        let (outputs, s) = dispatch_cells_traced(scale, specs, cfg, sink);
+        let (outputs, s) = dispatch_cells(scale, specs, cfg, sink);
         summary = Some(s);
         outputs
     });
@@ -903,6 +890,7 @@ pub fn run_faultsweep<S: TraceSink>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::NoopSink;
 
     #[test]
     fn config_clamps_workers_to_one() {
@@ -949,7 +937,7 @@ mod tests {
             worker_bin: Some(PathBuf::from("/nonexistent/ftd")),
             ..DispatchConfig::local(2)
         };
-        let (out, summary) = dispatch_cells(Scale::default(), &[], &cfg);
+        let (out, summary) = dispatch_cells(Scale::default(), &[], &cfg, &mut NoopSink);
         assert!(out.is_empty());
         assert_eq!(summary.cells, 0);
         assert_eq!(summary.leases, 0);

@@ -2,10 +2,9 @@
 //!
 //! Every frame is a big-endian `u32` payload length followed by that
 //! many bytes of JSON. A `ftd` worker speaks the protocol over its
-//! stdin/stdout pipe (or a TCP connection): it sends one [`Hello`]
-//! frame on startup, then answers each [`Request`] frame with one
-//! [`Response`] frame until the driver sends [`Request::Shutdown`] or
-//! closes the stream.
+//! stdin/stdout pipe: it sends one [`Hello`] frame on startup, then
+//! answers each [`Request`] frame with one [`Response`] frame until the
+//! driver sends [`Request::Shutdown`] or closes the stream.
 //!
 //! Design constraints, in order:
 //!
@@ -47,11 +46,6 @@ pub enum WireError {
     FrameTooLarge(u32),
     /// The stream ended inside a frame.
     UnexpectedEof,
-    /// The peer went silent past the configured read deadline (a
-    /// half-open TCP connection, not a clean close). Distinguished from
-    /// [`WireError::Io`] so servers can free the slot and keep
-    /// accepting instead of treating it as stream corruption.
-    Timeout,
     /// The worker's protocol version differs from ours.
     VersionMismatch {
         /// Our [`PROTO_VERSION`].
@@ -70,7 +64,6 @@ impl std::fmt::Display for WireError {
             Self::Decode(m) => write!(f, "wire decode: {m}"),
             Self::FrameTooLarge(n) => write!(f, "frame length {n} exceeds {MAX_FRAME}"),
             Self::UnexpectedEof => write!(f, "stream ended mid-frame"),
-            Self::Timeout => write!(f, "peer silent past the read deadline"),
             Self::VersionMismatch { ours, theirs } => {
                 write!(f, "protocol version mismatch: ours {ours}, worker {theirs}")
             }
@@ -90,13 +83,10 @@ impl std::error::Error for WireError {
 
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
-        match e.kind() {
-            ErrorKind::UnexpectedEof => Self::UnexpectedEof,
-            // A read deadline fires as TimedOut on most platforms but
-            // WouldBlock on some (set_read_timeout's contract names
-            // both).
-            ErrorKind::TimedOut | ErrorKind::WouldBlock => Self::Timeout,
-            _ => Self::Io(e),
+        if e.kind() == ErrorKind::UnexpectedEof {
+            Self::UnexpectedEof
+        } else {
+            Self::Io(e)
         }
     }
 }

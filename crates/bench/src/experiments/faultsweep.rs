@@ -140,18 +140,6 @@ pub enum CellOutput {
     },
 }
 
-/// All duplex switch-switch cables (one direction per cable).
-fn cables(g: &Graph) -> Vec<LinkId> {
-    g.link_ids()
-        .filter(|&l| {
-            let info = g.link(l);
-            g.node(info.src).kind.is_switch()
-                && g.node(info.dst).kind.is_switch()
-                && info.reverse.is_none_or(|r| r.0 > l.0)
-        })
-        .collect()
-}
-
 /// Replays the schedule through a [`FailedLinks`] set and, after every
 /// distinct event time, measures the fraction of workload pairs that
 /// still have a route; returns the minimum over the replay.
@@ -408,7 +396,7 @@ fn degradation_cell(scale: Scale, mode_idx: usize, fraction: f64) -> Degradation
         .map(|&(s, d)| (inst.net.servers[s], inst.net.servers[d]))
         .collect();
     let mut plan = FaultPlan::new(scale.seed ^ ((mode_idx as u64) << 17));
-    plan.random_link_flaps(&cables(g), fraction, MEAN_DOWN_S, FLAP_WINDOW);
+    plan.random_link_flaps(&g.switch_cables(), fraction, MEAN_DOWN_S, FLAP_WINDOW);
     let schedule = plan.compile(g).expect("plan matches its own graph");
     let out = flowsim::simulate_under_faults_with_provider_traced(
         g,

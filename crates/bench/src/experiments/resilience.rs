@@ -50,18 +50,6 @@ pub struct Point {
 /// Independent failure draws averaged per point.
 pub const TRIALS: usize = 3;
 
-/// All duplex switch-switch cables (one direction per cable).
-fn cables(g: &Graph) -> Vec<LinkId> {
-    g.link_ids()
-        .filter(|&l| {
-            let info = g.link(l);
-            g.node(info.src).kind.is_switch()
-                && g.node(info.dst).kind.is_switch()
-                && info.reverse.is_none_or(|r| r.0 > l.0)
-        })
-        .collect()
-}
-
 /// Mean throughput and disconnection rate with a given failed-cable
 /// set. Every pair is routed by a coupled [`MptcpProvider`] over the
 /// shared precomputed table, which re-runs a masked Yen only for switch
@@ -136,7 +124,7 @@ pub fn run(scale: Scale) -> Vec<Point> {
         // One parallel-precomputed table per network; every (fraction,
         // trial) cell routes over it with its own provider.
         let table = common::shared_route_table(net, &index_pairs, k);
-        let all_cables = cables(g);
+        let all_cables = g.switch_cables();
         // Sweep (fraction, trial) cells on the shared parallel driver.
         let jobs: Vec<(f64, usize)> = FRACTIONS
             .iter()

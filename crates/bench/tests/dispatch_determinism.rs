@@ -4,8 +4,7 @@
 //! failure mode — including every worker dying.
 //!
 //! These tests exercise the real `ftd` binary (via
-//! `env!("CARGO_BIN_EXE_ftd")`) over real pipes and a real TCP
-//! listener; nothing is mocked.
+//! `env!("CARGO_BIN_EXE_ftd")`) over real pipes; nothing is mocked.
 
 use ft_bench::dispatch::wire::{self, Hello, Request, Response, WorkerParams, PROTO_VERSION};
 use ft_bench::dispatch::{dispatch_cells, run_faultsweep, DispatchConfig};
@@ -13,10 +12,9 @@ use ft_bench::experiments::faultsweep::{self, CellOutput};
 use ft_bench::Scale;
 use obs::NoopSink;
 use proptest::prelude::*;
-use std::io::{BufRead, BufReader, BufWriter};
-use std::net::TcpStream;
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -108,34 +106,37 @@ fn unspawnable_worker_binary_degrades_to_inprocess() {
     );
 }
 
-/// The TCP transport speaks the same protocol: handshake, one cell,
+/// Spawns `ftd` on piped stdin/stdout (stderr captured) and reads its
+/// `Hello` frame.
+fn spawn_ftd() -> (Child, BufReader<std::process::ChildStdout>) {
+    let mut child = Command::new(ftd_bin())
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ftd");
+    let mut r = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let hello: Option<Hello> = wire::read_frame(&mut r).expect("read hello");
+    assert_eq!(hello.expect("hello frame before eof").proto, PROTO_VERSION);
+    (child, r)
+}
+
+/// Waits for `child` and returns its exit code and stderr.
+fn finish(child: Child) -> (Option<i32>, String) {
+    let out = child.wait_with_output().expect("wait for ftd");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// The worker's own transport, frame by frame: handshake, one cell,
 /// clean shutdown — and the answer is bit-identical to computing the
 /// cell locally.
 #[test]
-fn tcp_listener_serves_the_wire_protocol() {
-    let mut child = Command::new(ftd_bin())
-        .args(["--listen", "127.0.0.1:0"])
-        .stdin(Stdio::null())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn ftd --listen");
-    let mut lines = BufReader::new(child.stdout.take().expect("piped stdout"));
-    let mut banner = String::new();
-    lines.read_line(&mut banner).expect("read listen banner");
-    let addr = banner
-        .trim()
-        .rsplit(' ')
-        .next()
-        .expect("banner ends with the bound address");
-
-    let stream = TcpStream::connect(addr).expect("connect to ftd");
-    let mut r = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut w = BufWriter::new(stream);
-
-    let hello: Option<Hello> = wire::read_frame(&mut r).expect("read hello");
-    let hello = hello.expect("hello frame before eof");
-    assert_eq!(hello.proto, PROTO_VERSION);
+fn ftd_serves_the_wire_protocol_over_pipes() {
+    let (mut child, mut r) = spawn_ftd();
+    let mut w = BufWriter::new(child.stdin.take().expect("piped stdin"));
 
     let scale = smoke();
     let spec = faultsweep::cell_grid(scale)
@@ -159,16 +160,43 @@ fn tcp_listener_serves_the_wire_protocol() {
             assert_eq!(
                 serde_json::to_string(&res.output).expect("serializable"),
                 serde_json::to_string(&local).expect("serializable"),
-                "a TCP-served cell must be bit-identical to a local one"
+                "a worker-served cell must be bit-identical to a local one"
             );
         }
-        Response::Failed { message, .. } => panic!("cell failed over TCP: {message}"),
+        Response::Failed { message, .. } => panic!("cell failed in ftd: {message}"),
     }
     wire::write_frame(&mut w, &Request::Shutdown).expect("send shutdown");
+    let mut rest = Vec::new();
+    r.read_to_end(&mut rest).expect("read to eof");
+    assert!(rest.is_empty(), "no frames after shutdown");
     drop(w);
-    drop(r);
-    let _ = child.kill();
-    let _ = child.wait();
+    let (code, stderr) = finish(child);
+    assert_eq!(code, Some(0), "shutdown exits 0: {stderr}");
+}
+
+/// A request frame cut off inside its length prefix is an
+/// unrecoverable protocol error: exit 4, typed message, no panic.
+#[test]
+fn ftd_exits_4_on_a_truncated_request_frame() {
+    let (mut child, _r) = spawn_ftd();
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin
+        .write_all(&[0, 0])
+        .expect("write half a length prefix");
+    drop(stdin);
+    let (code, stderr) = finish(child);
+    assert_eq!(code, Some(4), "truncated frame exits 4: {stderr}");
+    assert!(stderr.contains("stream ended mid-frame"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// The driver closing the pipe before any request is a clean end.
+#[test]
+fn ftd_exits_0_on_eof_before_any_request() {
+    let (mut child, _r) = spawn_ftd();
+    drop(child.stdin.take());
+    let (code, stderr) = finish(child);
+    assert_eq!(code, Some(0), "eof before a request exits 0: {stderr}");
 }
 
 proptest! {
@@ -218,7 +246,7 @@ proptest! {
             .collect();
         let serial: Vec<CellOutput> =
             specs.iter().map(|s| faultsweep::execute_cell(scale, s)).collect();
-        let (out, summary) = dispatch_cells(scale, &specs, &cfg(workers));
+        let (out, summary) = dispatch_cells(scale, &specs, &cfg(workers), &mut NoopSink);
         prop_assert_eq!(
             serialized(&out),
             serialized(&serial),

@@ -49,7 +49,6 @@ pub mod interpod;
 pub mod invariants;
 pub mod layout;
 pub mod modes;
-pub mod multistage;
 pub mod profile;
 pub mod wiring;
 
@@ -57,5 +56,4 @@ pub use build::{FlatTree, FlatTreeInstance};
 pub use converter::{Blade, ConverterConfig, ConverterKind, PodSide};
 pub use layout::{ConverterInfo, FlatTreeParams, Layout};
 pub use modes::{ModeAssignment, PodMode};
-pub use multistage::{MultiStageFlatTree, MultiStageInstance, MultiStageParams};
 pub use wiring::WiringPattern;

@@ -9,25 +9,13 @@
 use flowsim::provider::{MptcpProvider, PathProvider};
 use flowsim::sim::FlowSpec;
 use flowsim::FailedLinks;
-use netgraph::{yen::Yen, Graph, LinkId, NodeId, Path, PathArena};
+use netgraph::{yen::Yen, Graph, NodeId, Path, PathArena};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use routing::SharedRouteTable;
 use std::sync::Arc;
 use topology::ClosParams;
-
-/// All switch-switch directed links (one per duplex cable).
-fn cables(g: &Graph) -> Vec<LinkId> {
-    g.link_ids()
-        .filter(|&l| {
-            let info = g.link(l);
-            g.node(info.src).kind.is_switch()
-                && g.node(info.dst).kind.is_switch()
-                && info.reverse.is_none_or(|r| r.0 > l.0)
-        })
-        .collect()
-}
 
 /// The server-level oracle: a masked Yen run between the servers.
 fn oracle(
@@ -72,7 +60,7 @@ fn provider_matches_server_level_oracle_under_random_failures() {
     let clos = ClosParams::mini().build();
     let g = &clos.net.graph;
     let servers = g.servers();
-    let all_cables = cables(g);
+    let all_cables = g.switch_cables();
     let mut yen = Yen::new(g);
     let (mut in_half, mut outside_half) = (0usize, 0usize);
     for k in [4usize, 8] {

@@ -209,6 +209,19 @@ impl Graph {
             .collect()
     }
 
+    /// All duplex switch–switch cables, one direction each (the
+    /// lower link id of each pair), in link-id order.
+    pub fn switch_cables(&self) -> Vec<LinkId> {
+        self.link_ids()
+            .filter(|&l| {
+                let info = self.link(l);
+                self.node(info.src).kind.is_switch()
+                    && self.node(info.dst).kind.is_switch()
+                    && info.reverse.is_none_or(|r| r.0 > l.0)
+            })
+            .collect()
+    }
+
     /// The switch a server is attached to.
     ///
     /// Returns `None` for non-servers or detached servers. A server in any
@@ -294,6 +307,7 @@ mod tests {
         let (g, s, e, c) = tiny();
         assert_eq!(g.servers(), vec![s]);
         assert_eq!(g.switches(), vec![e, c]);
+        assert_eq!(g.switch_cables(), vec![g.find_link(e, c).unwrap()]);
         assert!(!NodeKind::Server.is_transit());
         assert!(NodeKind::GenericSwitch.is_transit());
     }

@@ -10,7 +10,6 @@ use crate::{addressing_rules, control_rules, fault_rules, graph_rules, routing_r
 use flat_tree::{ConverterConfig, FlatTree, FlatTreeParams, ModeAssignment, PodMode};
 use flowsim::FaultPlan;
 use ft_bench::Scale;
-use netgraph::{Graph, LinkId};
 use routing::addressing::TopologyModeId;
 use serde::Serialize;
 use testbed::rig::testbed_params;
@@ -157,19 +156,6 @@ pub fn grid(scale: &Scale) -> Vec<Cell> {
     cells
 }
 
-/// All duplex switch-switch cables (one direction per cable) — the
-/// population the fault cell's flap draw samples from.
-fn cables(g: &Graph) -> Vec<LinkId> {
-    g.link_ids()
-        .filter(|&l| {
-            let info = g.link(l);
-            g.node(info.src).kind.is_switch()
-                && g.node(info.dst).kind.is_switch()
-                && info.reverse.is_none_or(|r| r.0 > l.0)
-        })
-        .collect()
-}
-
 /// Runs one cell, optionally with a planted corruption.
 pub fn run_cell(cell: &Cell, k: usize, corruption: Option<Corruption>) -> CellReport {
     let ft = FlatTree::new(cell.params).expect("grid params are valid");
@@ -211,7 +197,7 @@ pub fn run_cell(cell: &Cell, k: usize, corruption: Option<Corruption>) -> CellRe
             // stuck override per blade class — the same artifact shapes
             // the faultsweep experiment feeds the engine.
             let mut plan = FaultPlan::new(FAULT_PLAN_SEED);
-            plan.random_link_flaps(&cables(g), 0.25, 0.4, (0.0, 2.0));
+            plan.random_link_flaps(&g.switch_cables(), 0.25, 0.4, (0.0, 2.0));
             plan.stuck_converter(0, ConverterConfig::Default);
             plan.stuck_converter(converters - 1, ConverterConfig::Local);
             let mut schedule = plan.compile(g).expect("battery fault plan compiles");
