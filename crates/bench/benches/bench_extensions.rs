@@ -31,10 +31,14 @@ fn bench(c: &mut Criterion) {
     c.bench_function("extensions/profile_mn_mini", |b| {
         b.iter(|| flat_tree::profile::profile_mn(&ClosParams::mini()).len());
     });
-    // The same sweep at k=16: 320 switches, so the path-length kernel
-    // runs more than one 64-source word per candidate.
+    // The same sweep at k=16: 320 switches, more than 64 of them with
+    // servers, so each candidate is scored from its pod-rotation orbits.
     c.bench_function("extensions/profile_mn_k16", |b| {
         b.iter(|| flat_tree::profile::profile_mn(&fat_tree(16)).len());
+    });
+    // k=24, the arity `decomp_k32` profiles: 720 switches, 89 candidates.
+    c.bench_function("extensions/profile_mn_k24", |b| {
+        b.iter(|| flat_tree::profile::profile_mn(&fat_tree(24)).len());
     });
 
     // Failure-injection instantiation.

@@ -10,7 +10,8 @@
 use crate::cables::{for_each_cable, Cable, Switches};
 use crate::layout::{FlatTreeParams, Layout};
 use crate::modes::{configs_for, ModeAssignment, PodMode};
-use netgraph::switch_graph::{SwitchView, Wire};
+use crate::wiring::{core_of, ConnectorRole};
+use netgraph::switch_graph::{Orbits, SwitchView, Wire};
 use topology::ClosParams;
 
 /// Result of one profiling candidate.
@@ -33,10 +34,14 @@ pub struct ProfilePoint {
 /// Each candidate is scored from its layout's cable plan, the one
 /// [`FlatTree::instantiate`](crate::FlatTree::instantiate) builds from,
 /// without building a graph; one [`SwitchView`] serves every candidate.
+/// The view scores it from one BFS source per orbit of its pod rotation
+/// once it certifies the rotation, and from every source otherwise.
 pub fn profile_mn(clos: &ClosParams) -> Vec<ProfilePoint> {
     let budget = clos.servers_per_edge.min(clos.h_over_r());
     let global = ModeAssignment::uniform(clos.pods, PodMode::Global);
     let mut view = SwitchView::default();
+    let mut orbits = Orbits::default();
+    let mut phi = Vec::new();
     let mut points = Vec::new();
     for total in 1..=budget {
         for m in 0..=total {
@@ -45,7 +50,8 @@ pub fn profile_mn(clos: &ClosParams) -> Vec<ProfilePoint> {
                 continue;
             };
             fill_view(&layout, &global, &mut view);
-            if let Some(apl) = view.avg_server_path_length() {
+            pod_rotation(&layout, &mut phi);
+            if let Some(apl) = view.avg_server_path_length_under(&phi, &mut orbits) {
                 points.push(ProfilePoint {
                     m,
                     n,
@@ -68,14 +74,52 @@ pub fn profile_mn(clos: &ClosParams) -> Vec<ProfilePoint> {
 fn fill_view(layout: &Layout, assignment: &ModeAssignment, view: &mut SwitchView) {
     let configs = configs_for(layout, assignment);
     view.rebuild(Switches::new(&layout.params.clos).count(), |wire| {
-        for_each_cable(layout, &configs, |cable| match cable {
-            Cable::Server { switch, .. } => wire(Wire::Server { switch }),
-            Cable::Switch(a, b) => {
-                wire(Wire::Link { from: a, to: b });
-                wire(Wire::Link { from: b, to: a });
-            }
-        });
+        for_each_cable(layout, &configs, |cable| wire_cable(cable, wire));
     });
+}
+
+/// Feeds one cable to [`SwitchView::rebuild`]: a switch–switch cable as
+/// a link each way, a server cable as a server on its switch.
+fn wire_cable(cable: Cable, wire: &mut dyn FnMut(Wire)) {
+    match cable {
+        Cable::Server { switch, .. } => wire(Wire::Server { switch }),
+        Cable::Switch(a, b) => {
+            wire(Wire::Link { from: a, to: b });
+            wire(Wire::Link { from: b, to: a });
+        }
+    }
+}
+
+/// Proposes the rotation of every pod by one as a map on `layout`'s
+/// dense switches: pod switch `(p, i)` goes to `(p + 1 mod P, i)`, and
+/// each core to the core the same connector of the next pod reaches,
+/// `σ(core_of(0, j, role)) = core_of(1, j, role)`. Only a proposal: the
+/// view certifies it, and scores a view it does not fit (no side-link
+/// ring, a hybrid assignment) from every source.
+fn pod_rotation(layout: &Layout, phi: &mut Vec<u32>) {
+    let p = &layout.params;
+    let clos = &p.clos;
+    let sw = Switches::new(clos);
+    phi.clear();
+    phi.extend(0..sw.count() as u32);
+    for pod in 0..clos.pods {
+        let next = (pod + 1) % clos.pods;
+        for j in 0..clos.edges_per_pod {
+            phi[sw.edge(pod, j)] = sw.edge(next, j) as u32;
+        }
+        for i in 0..clos.aggs_per_pod {
+            phi[sw.agg(pod, i)] = sw.agg(next, i) as u32;
+        }
+    }
+    let roles = (0..p.m)
+        .map(ConnectorRole::BladeB)
+        .chain((0..p.n).map(ConnectorRole::BladeA))
+        .chain((0..clos.h_over_r() - p.m - p.n).map(ConnectorRole::Agg));
+    for j in 0..clos.edges_per_pod {
+        for role in roles.clone() {
+            phi[core_of(p, p.wiring, 0, j, role)] = core_of(p, p.wiring, 1, j, role) as u32;
+        }
+    }
 }
 
 /// The best `(m, n)` per §3.4's criterion.
@@ -86,7 +130,6 @@ pub fn best_mn(clos: &ClosParams) -> Option<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wiring::{core_of, ConnectorRole};
     use crate::{invariants, FlatTree, WiringPattern};
     use netgraph::metrics::avg_server_path_length;
     use netgraph::NodeId;
@@ -220,6 +263,117 @@ mod tests {
         (got, want)
     }
 
+    /// The BFS sources that scoring `view` under `layout`'s pod rotation
+    /// runs from, after checking its path length against the full sweep
+    /// bit for bit.
+    fn orbit_sources(layout: &Layout, view: &SwitchView) -> usize {
+        let mut phi = Vec::new();
+        pod_rotation(layout, &mut phi);
+        let mut orbits = Orbits::default();
+        let apl = view.avg_server_path_length_under(&phi, &mut orbits);
+        let full = view.avg_server_path_length();
+        assert_eq!(
+            apl.map(f64::to_bits),
+            full.map(f64::to_bits),
+            "{:?}",
+            layout.params
+        );
+        orbits.sources()
+    }
+
+    fn server_switches(view: &SwitchView) -> usize {
+        view.servers().iter().filter(|&&s| s > 0).count()
+    }
+
+    /// [`fill_view`] in global mode with the first cable that `edit`
+    /// rewrites replaced by its rewrite.
+    fn fill_edited(layout: &Layout, view: &mut SwitchView, edit: impl Fn(Cable) -> Option<Cable>) {
+        let global = ModeAssignment::uniform(layout.params.clos.pods, PodMode::Global);
+        let configs = configs_for(layout, &global);
+        view.rebuild(Switches::new(&layout.params.clos).count(), |wire| {
+            let mut edited = false;
+            for_each_cable(layout, &configs, |cable| match edit(cable) {
+                Some(moved) if !edited => {
+                    edited = true;
+                    wire_cable(moved, wire);
+                }
+                _ => wire_cable(cable, wire),
+            });
+        });
+    }
+
+    /// On wrapped fat-trees past one 64-lane word, the pod rotation is
+    /// certified for every candidate under both wiring patterns, so each
+    /// scores from fewer sources than it has server-bearing switches.
+    #[test]
+    fn rotation_reduces_wrapped_fat_trees() {
+        for k in [12, 16] {
+            let clos = topology::fat_tree(k);
+            let global = ModeAssignment::uniform(clos.pods, PodMode::Global);
+            let mut view = SwitchView::default();
+            for ft in flat_trees(clos, true) {
+                fill_view(&ft.layout, &global, &mut view);
+                let sources = orbit_sources(&ft.layout, &view);
+                assert!(server_switches(&view) > 64);
+                assert!(
+                    sources < server_switches(&view),
+                    "{:?}: {sources}",
+                    ft.params()
+                );
+            }
+        }
+    }
+
+    /// The certificate turns the rotation down wherever it is not an
+    /// automorphism, and the score stays exact: a hybrid assignment, one
+    /// cable moved, one server moved to another pod, and side bundles
+    /// without the ring.
+    #[test]
+    fn certificate_rejects_broken_symmetry() {
+        let clos = topology::fat_tree(12);
+        let sw = Switches::new(&clos);
+        let half = (0..clos.pods).map(|p| {
+            if p < clos.pods / 2 {
+                PodMode::Global
+            } else {
+                PodMode::Clos
+            }
+        });
+        let hybrid = ModeAssignment::hybrid(half.collect());
+        let mut view = SwitchView::default();
+        let rejected = |layout: &Layout, view: &SwitchView| {
+            let sources = orbit_sources(layout, view);
+            assert_eq!(sources, server_switches(view), "{:?}", layout.params);
+        };
+        for ft in flat_trees(clos, true) {
+            fill_view(&ft.layout, &hybrid, &mut view);
+            rejected(&ft.layout, &view);
+            let (e, a, b) = (sw.edge(0, 0), sw.agg(0, 0), sw.agg(0, 1));
+            fill_edited(&ft.layout, &mut view, |cable| match cable {
+                Cable::Switch(u, v) if (u, v) == (e, a) => Some(Cable::Switch(e, b)),
+                _ => None,
+            });
+            rejected(&ft.layout, &view);
+            fill_edited(&ft.layout, &mut view, |cable| match cable {
+                Cable::Server { edge, slot, .. } => Some(Cable::Server {
+                    edge,
+                    slot,
+                    switch: sw.edge(1, 0),
+                }),
+                Cable::Switch(..) => None,
+            });
+            rejected(&ft.layout, &view);
+        }
+        let global = ModeAssignment::uniform(clos.pods, PodMode::Global);
+        for ft in flat_trees(clos, false)
+            .into_iter()
+            .filter(|ft| ft.params().m > 0)
+        {
+            fill_view(&ft.layout, &global, &mut view);
+            rejected(&ft.layout, &view);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -251,6 +405,19 @@ mod tests {
                     };
                     prop_assert_eq!(links(&view), links(&graph), "switch {}", v);
                 }
+            }
+        }
+
+        /// Scoring from one source per orbit of the certified pod
+        /// rotation gives the full sweep's path length bit for bit, under
+        /// both wiring patterns, with and without the side-link ring.
+        #[test]
+        fn orbit_scoring_is_exact(clos in clos_params(), wrap in prop::bool::ANY) {
+            let global = ModeAssignment::uniform(clos.pods, PodMode::Global);
+            let mut view = SwitchView::default();
+            for ft in flat_trees(clos, wrap) {
+                fill_view(&ft.layout, &global, &mut view);
+                orbit_sources(&ft.layout, &view);
             }
         }
 

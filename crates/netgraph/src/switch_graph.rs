@@ -14,7 +14,8 @@
 //! length that §3.4 profiling minimizes
 //! ([`SwitchView::avg_server_path_length`]), the switch diameter
 //! ([`SwitchView::diameter`]), and the per-egress hop distances of
-//! [`crate::ecmp::EcmpRouter`].
+//! [`crate::ecmp::EcmpRouter`]. Path length may run it from one source
+//! per orbit of an automorphism that the view has certified.
 
 use crate::graph::Graph;
 
@@ -45,6 +46,25 @@ pub enum Wire {
         /// The server's uplink switch.
         switch: usize,
     },
+}
+
+/// Reusable buffers of [`SwitchView::avg_server_path_length_under`]: the
+/// certificate's counting array, the weighted sources and the BFS lanes.
+/// One value serves every candidate view a caller scores.
+#[derive(Debug, Clone, Default)]
+pub struct Orbits {
+    count: Vec<u32>,
+    /// `(switch, servers × orbit size)` of each BFS source.
+    sources: Vec<(u32, usize)>,
+    lanes: Lanes,
+}
+
+impl Orbits {
+    /// BFS sources of the last scoring: one per orbit when its map was
+    /// certified, every server-bearing switch otherwise.
+    pub fn sources(&self) -> usize {
+        self.sources.len()
+    }
 }
 
 /// Reusable bit-lane buffers of [`SwitchView::bfs_levels`].
@@ -186,38 +206,124 @@ impl SwitchView {
     }
 
     /// Average hop distance over all ordered server pairs of the view;
-    /// see [`crate::metrics::avg_server_path_length`].
-    ///
-    /// Sources are batched by server count `w`, so a switch `v` newly
-    /// reached by `r` sources at distance `d` adds `w · r · servers(v)`
-    /// pairs of `d + 2` hops. The totals stay integers, so the result is
-    /// bit-identical to a BFS per server.
+    /// see [`crate::metrics::avg_server_path_length`]. Scores every
+    /// server-bearing switch as its own source.
     pub fn avg_server_path_length(&self) -> Option<f64> {
-        let servers = &self.servers;
-        let mut sources: Vec<u32> = (0..self.len() as u32)
-            .filter(|&s| servers[s as usize] > 0)
-            .collect();
-        sources.sort_by_key(|&s| servers[s as usize]);
+        self.avg_server_path_length_under(&[], &mut Orbits::default())
+    }
 
-        let mut lanes = Lanes::default();
+    /// [`Self::avg_server_path_length`] from one BFS source per orbit of
+    /// `phi`, a candidate automorphism that maps switch `v` to `phi[v]`.
+    ///
+    /// `phi` is tried only when the server-bearing switches fill more
+    /// than one 64-lane word (below that it cannot save a BFS), and used
+    /// only if an exact O(V + E) check certifies it as an automorphism:
+    /// a bijection that keeps every switch's server count and carries
+    /// each `incoming(v)` multiset onto `incoming(phi[v])`. Otherwise
+    /// every source is an orbit of its own. Sources of one orbit have the same
+    /// distance sums, so a representative's lane carries the weight
+    /// servers × orbit size, and a switch `v` newly reached at distance
+    /// `d` by `r` lanes of weight `w` adds `w · r · servers(v)` pairs of
+    /// `d + 2` hops. The totals stay integers, so the result is
+    /// bit-identical to a BFS per server either way.
+    pub fn avg_server_path_length_under(&self, phi: &[u32], orbits: &mut Orbits) -> Option<f64> {
+        let servers = &self.servers;
+        let Orbits {
+            count,
+            sources,
+            lanes,
+        } = orbits;
+        sources.clear();
+        sources.extend(
+            (0..self.len())
+                .filter(|&s| servers[s] > 0)
+                .map(|s| (s as u32, servers[s])),
+        );
+        if sources.len() > 64 && self.is_automorphism(phi, count) {
+            // `count` is all zero again; it marks the switches already in
+            // an orbit, each represented by its lowest index.
+            sources.retain_mut(|(s, weight)| {
+                let mut size = 0;
+                let mut v = *s as usize;
+                while count[v] == 0 {
+                    count[v] = 1;
+                    size += 1;
+                    v = phi[v] as usize;
+                }
+                *weight *= size;
+                size > 0
+            });
+        }
+        sources.sort_by_key(|&(_, weight)| weight);
+
         let mut total = 0usize;
         let mut pairs = 0usize;
-        let batches = sources
-            .chunk_by(|&a, &b| servers[a as usize] == servers[b as usize])
-            .flat_map(|group| group.chunks(64));
-        for batch in batches {
-            let w = servers[batch[0] as usize];
-            // Same switch: each source's other servers, 2 hops each.
-            let same = batch.len() * w * (w - 1);
-            total += 2 * same;
-            pairs += same;
-            self.bfs_levels(batch, &mut lanes, |hops, v, new| {
-                let reached = w * new.count_ones() as usize * servers[v];
+        let mut ids = [0u32; 64];
+        let mut classes: Vec<(u64, usize)> = Vec::new();
+        for batch in sources.chunks(64) {
+            classes.clear();
+            for (lane, &(s, weight)) in batch.iter().enumerate() {
+                ids[lane] = s;
+                match classes.last_mut() {
+                    Some((mask, w)) if *w == weight => *mask |= 1 << lane,
+                    _ => classes.push((1 << lane, weight)),
+                }
+                // Same switch: each source's other servers, 2 hops each.
+                let same = weight * (servers[s as usize] - 1);
+                total += 2 * same;
+                pairs += same;
+            }
+            self.bfs_levels(&ids[..batch.len()], lanes, |hops, v, new| {
+                let weighted: usize = classes
+                    .iter()
+                    .map(|&(mask, w)| w * (new & mask).count_ones() as usize)
+                    .sum();
+                let reached = weighted * servers[v];
                 total += reached * (hops + 2);
                 pairs += reached;
             });
         }
         (pairs > 0).then(|| total as f64 / pairs as f64)
+    }
+
+    /// Whether `phi` is an automorphism of the view, as
+    /// [`Self::avg_server_path_length_under`] states it; then
+    /// `d(s, v) = d(phi[s], phi[v])` for every pair. O(V + E) with the
+    /// counting array `count`, which is left all zero on success.
+    fn is_automorphism(&self, phi: &[u32], count: &mut Vec<u32>) -> bool {
+        let n = self.len();
+        if phi.len() != n {
+            return false;
+        }
+        count.clear();
+        count.resize(n, 0);
+        for &w in phi {
+            match count.get_mut(w as usize) {
+                Some(c) if *c == 0 => *c = 1,
+                _ => return false,
+            }
+        }
+        count.fill(0);
+        for (v, &w) in phi.iter().enumerate() {
+            let w = w as usize;
+            let (mine, theirs) = (self.incoming(v), self.incoming(w));
+            if self.servers[v] != self.servers[w] || mine.len() != theirs.len() {
+                return false;
+            }
+            for &u in theirs {
+                count[u as usize] += 1;
+            }
+            // Equal lengths and no count below zero: every count is back
+            // to zero, so the multisets match.
+            for &u in mine {
+                let c = &mut count[phi[u as usize] as usize];
+                if *c == 0 {
+                    return false;
+                }
+                *c -= 1;
+            }
+        }
+        true
     }
 
     /// Longest shortest path between two switches of the view (hop

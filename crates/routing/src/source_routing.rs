@@ -45,7 +45,7 @@ pub fn encode_ports(ports: &[u8]) -> [u8; 6] {
 /// The byte mask a switch applies at a given TTL (cf. the paper's example:
 /// TTL 253 = third hop = mask `00:00:ff:00:00:00`). Returns `None` when
 /// the packet has exceeded the encodable hop count.
-pub fn mask_for_ttl(ttl: u8) -> Option<[u8; 6]> {
+fn mask_for_ttl(ttl: u8) -> Option<[u8; 6]> {
     let hop = (INITIAL_TTL - ttl) as usize;
     if hop >= MAX_HOPS {
         return None;

@@ -108,7 +108,7 @@ pub fn counterpart_pairs(num_pods: usize, per_pod: usize) -> Vec<(usize, usize)>
 
 /// Steady-state total iPerf throughput (Gbps) of a mode on the rig,
 /// using the mode's profiled k (see [`best_k`]).
-pub fn steady_state_gbps(rig: &TestbedRig, mode: PodMode) -> f64 {
+fn steady_state_gbps(rig: &TestbedRig, mode: PodMode) -> f64 {
     best_k(rig, mode).1
 }
 

@@ -108,7 +108,7 @@ impl ClosParams {
 
     /// topo-1 of Table 2: the baseline, 4:1 oversubscribed at the edge,
     /// 4096 servers.
-    pub fn topo1() -> Self {
+    fn topo1() -> Self {
         Self {
             pods: 16,
             edges_per_pod: 8,
@@ -122,7 +122,7 @@ impl ClosParams {
     }
 
     /// topo-2: proportional down-scale of topo-1 (1728 servers).
-    pub fn topo2() -> Self {
+    fn topo2() -> Self {
         Self {
             pods: 12,
             edges_per_pod: 6,
@@ -136,7 +136,7 @@ impl ClosParams {
     }
 
     /// topo-3: twice the edge oversubscription of topo-1 (8192 servers).
-    pub fn topo3() -> Self {
+    fn topo3() -> Self {
         Self {
             servers_per_edge: 64,
             ..Self::topo1()
@@ -144,7 +144,7 @@ impl ClosParams {
     }
 
     /// topo-4: topo-1 with fewer, larger aggregation and core switches.
-    pub fn topo4() -> Self {
+    fn topo4() -> Self {
         Self {
             pods: 8,
             edges_per_pod: 16,
@@ -159,7 +159,7 @@ impl ClosParams {
 
     /// topo-5: half of topo-1's oversubscription moved to the aggregation
     /// layer (2:1 at edge, 2:1 at agg).
-    pub fn topo5() -> Self {
+    fn topo5() -> Self {
         Self {
             edge_uplinks: 16,
             ..Self::topo1()
@@ -168,7 +168,7 @@ impl ClosParams {
 
     /// topo-6: topo-5 with larger aggregation and core switches (see the
     /// module-level Table 2 note).
-    pub fn topo6() -> Self {
+    fn topo6() -> Self {
         Self {
             pods: 16,
             edges_per_pod: 8,

@@ -45,7 +45,7 @@ fn two_stage_roundtrips() {
 
 #[test]
 fn params_roundtrip_too() {
-    let p = ClosParams::topo4();
+    let p = ClosParams::topo(4);
     let json = serde_json::to_string(&p).unwrap();
     let back: ClosParams = serde_json::from_str(&json).unwrap();
     assert_eq!(p, back);
