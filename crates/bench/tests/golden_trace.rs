@@ -1,11 +1,14 @@
 //! Golden tests for the observability plane's trace streams.
 //!
-//! Two determinism pins — the JSONL byte stream of (a) a traced engine
-//! run and (b) a traced resilient conversion must be **byte-for-byte**
-//! identical across same-seed runs — plus an exact inline golden for a
+//! A determinism pin — the JSONL byte stream of a traced engine run
+//! must be **byte-for-byte** identical across same-seed runs — plus
+//! exact goldens: three resilient-conversion timelines (committed after
+//! retries, degraded, rolled back from the add stage) compared with
+//! `tests/goldens/conversion/*.jsonl`, and an inline stream for a
 //! scenario small enough to enumerate by hand (one flow over a
 //! dumbbell, one cable flap). Any change to event ordering, field
-//! layout, or float formatting fails here and must be deliberate.
+//! layout, fault-draw order or float formatting fails here and must be
+//! deliberate.
 
 use control::conversion::DelayModel;
 use control::resilient::{run_conversion, ConversionWork, RetryPolicy};
@@ -100,12 +103,24 @@ fn engine_trace_stream_is_byte_identical_across_runs() {
     );
 }
 
-fn traced_conversion_jsonl() -> Vec<u8> {
+/// Runs the clos → global conversion of four switches (280 deletes,
+/// 330 adds, 16 crosspoints) into a JSONL sink.
+fn traced_conversion_jsonl(policy: &RetryPolicy, faults: &ControlFaults) -> String {
     let work = ConversionWork {
         crosspoints_changed: 16,
         per_switch: vec![(100, 120), (80, 90), (60, 70), (40, 50)],
         delay: DelayModel::testbed(),
     };
+    let mut sink = JsonlSink::new(Vec::new());
+    run_conversion(&work, "clos", "global", policy, faults, &mut sink).expect("valid conversion");
+    assert!(sink.take_error().is_none());
+    String::from_utf8(sink.into_inner().expect("vec sink cannot fail")).expect("JSONL is UTF-8")
+}
+
+/// Three shards under OCS timeouts, shard crashes and rare rule
+/// failures: commits after retries.
+#[test]
+fn conversion_trace_stream_is_byte_identical_across_runs() {
     let faults = ControlFaults {
         seed: 7,
         ocs_timeout_prob: 0.3,
@@ -118,25 +133,51 @@ fn traced_conversion_jsonl() -> Vec<u8> {
         shards: 3,
         ..RetryPolicy::default()
     };
-    let mut sink = JsonlSink::new(Vec::new());
-    run_conversion(&work, "clos", "global", &policy, &faults, &mut sink).expect("valid conversion");
-    assert!(sink.take_error().is_none());
-    sink.into_inner().expect("vec sink cannot fail")
+    let a = traced_conversion_jsonl(&policy, &faults);
+    assert_eq!(a, traced_conversion_jsonl(&policy, &faults));
+    assert_eq!(
+        a,
+        include_str!("../../../tests/goldens/conversion/flaky_3shard.jsonl")
+    );
 }
 
+/// 90% per-rule failure on one shard: the delete stage never finishes
+/// and re-adding the deleted subset fails too, so the run ends
+/// `Degraded` without reversing the OCS.
 #[test]
-fn conversion_trace_stream_is_byte_identical_across_runs() {
-    let a = traced_conversion_jsonl();
-    let b = traced_conversion_jsonl();
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "same-seed conversion timelines must match");
-    let text = String::from_utf8(a).expect("JSONL is UTF-8");
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(lines[0].contains("\"ConvStart\""), "{}", lines[0]);
-    assert!(
-        lines.last().expect("non-empty").contains("\"ConvEnd\""),
-        "{}",
-        lines.last().expect("non-empty")
+fn degraded_conversion_trace_matches_golden() {
+    let faults = ControlFaults {
+        seed: 1,
+        rule_fail_prob: 0.9,
+        ..ControlFaults::none()
+    };
+    assert_eq!(
+        traced_conversion_jsonl(&RetryPolicy::default(), &faults),
+        include_str!("../../../tests/goldens/conversion/degraded.jsonl")
+    );
+}
+
+/// Three shards with frequent shard crashes: the add stage fails
+/// part-way, and the rollback runs every undo stage in reverse order
+/// (`rollback_delete`, `rollback_add`, `rollback_ocs`) and ends
+/// `RolledBack`.
+#[test]
+fn add_stage_rollback_trace_matches_golden() {
+    let faults = ControlFaults {
+        seed: 16,
+        ocs_timeout_prob: 0.3,
+        rule_fail_prob: 0.01,
+        shard_crash_prob: 0.5,
+        shard_recover_ms: 250.0,
+        ..ControlFaults::none()
+    };
+    let policy = RetryPolicy {
+        shards: 3,
+        ..RetryPolicy::default()
+    };
+    assert_eq!(
+        traced_conversion_jsonl(&policy, &faults),
+        include_str!("../../../tests/goldens/conversion/add_rollback.jsonl")
     );
 }
 
