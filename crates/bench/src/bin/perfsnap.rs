@@ -553,18 +553,6 @@ fn main() {
     );
     snaps.push(snap);
 
-    // Surface the allocator counters through the obs metrics registry,
-    // summed over the telemetry-carrying workloads.
-    let mut metrics = obs::Metrics::new();
-    for snap in &snaps {
-        if let Some(tel) = &snap.alloc {
-            tel.export(&mut metrics);
-        }
-    }
-    if metrics.iter().next().is_some() {
-        eprintln!("perfsnap: alloc metrics {}", metrics.summary_json());
-    }
-
     // Refuse to write (or gate against) a snapshot containing broken
     // measurements — a zero-duration or zero-event workload would
     // otherwise become a floor no regression can ever trip.

@@ -104,19 +104,6 @@ impl ChaosPlan {
             .filter(|f| f.lease == lease)
             .map(|f| f.action)
     }
-
-    /// How many workers this plan afflicts (for tests choosing seeds).
-    pub fn afflicted(&self) -> usize {
-        self.fates.iter().flatten().count()
-    }
-
-    /// Whether any afflicted worker draws `label` as its action.
-    pub fn has_action(&self, label: &str) -> bool {
-        self.fates
-            .iter()
-            .flatten()
-            .any(|f| f.action.label() == label)
-    }
 }
 
 /// The seeded garbage bytes a [`ChaosAction::Garbage`] worker emits —
@@ -131,6 +118,19 @@ pub fn garbage_bytes(seed: u64, len: u32) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// How many workers `plan` afflicts.
+    fn afflicted(plan: &ChaosPlan) -> usize {
+        plan.fates.iter().flatten().count()
+    }
+
+    /// Whether any afflicted worker draws `label` as its action.
+    fn has_action(plan: &ChaosPlan, label: &str) -> bool {
+        plan.fates
+            .iter()
+            .flatten()
+            .any(|f| f.action.label() == label)
+    }
 
     #[test]
     fn plans_are_deterministic_per_seed() {
@@ -153,10 +153,10 @@ mod tests {
         let mut quiet = 0;
         for seed in 0..64u64 {
             let p = ChaosPlan::new(seed, 4);
-            kills += usize::from(p.has_action("kill"));
-            stalls += usize::from(p.has_action("stall"));
-            garbage += usize::from(p.has_action("garbage"));
-            quiet += usize::from(p.afflicted() == 0);
+            kills += usize::from(has_action(&p, "kill"));
+            stalls += usize::from(has_action(&p, "stall"));
+            garbage += usize::from(has_action(&p, "garbage"));
+            quiet += usize::from(afflicted(&p) == 0);
         }
         assert!(kills > 0, "some seed must kill");
         assert!(stalls > 0, "some seed must stall");

@@ -99,7 +99,7 @@ pub enum ConversionError {
     InvalidPolicy {
         /// Which field was rejected.
         which: &'static str,
-        /// The rejected value (0 for the integer fields).
+        /// The rejected value (integer fields converted to `f64`).
         value: f64,
     },
     /// The [`ControlFaults`] configuration is invalid.
@@ -273,102 +273,38 @@ fn stage_rng(faults: &ControlFaults, stage: StageKind, shard: usize) -> ChaCha8R
     ChaCha8Rng::seed_from_u64(faults.seed ^ stage.salt() ^ mix)
 }
 
-/// Runs the OCS stage (or its rollback twin): one attempt draws a
-/// timeout, then an outright failure, then succeeds. Returns the trace;
-/// `trace.ok` says whether the crosspoints switched.
+/// Runs one stage (forward or rollback) over per-shard unit counts:
+/// the OCS is one unit on shard 0, a rule stage one unit per rule.
+/// Each attempt first draws the stage's no-progress fault (OCS timeout,
+/// shard crash), then charges every outstanding unit and draws one
+/// failure per unit; failed units stay outstanding for the next
+/// attempt. Returns the per-shard traces, the stage wall-clock (max over
+/// shards), and the units completed per shard.
 ///
 /// Emissions never touch the RNG, so the attempt/backoff trace is
 /// identical with any sink.
-fn run_ocs_stage<S: TraceSink>(
+fn run_stage<S: TraceSink>(
     kind: StageKind,
+    counts: &[usize],
     delay: &DelayModel,
     policy: &RetryPolicy,
     faults: &ControlFaults,
     sink: &mut S,
-) -> StageTrace {
-    let mut rng = stage_rng(faults, kind, 0);
-    let mut trace = StageTrace {
-        stage: kind,
-        shard: 0,
-        attempts: 0,
-        backoffs_ms: Vec::new(),
-        elapsed_ms: 0.0,
-        ok: false,
-    };
-    for try_ in policy.backoff().attempts() {
-        let attempt = try_.number;
-        trace.attempts = attempt;
-        if let Some(wait) = try_.wait_ms {
-            trace.backoffs_ms.push(wait);
-            trace.elapsed_ms += wait;
-        }
-        if rng.gen_bool(faults.ocs_timeout_prob) {
-            trace.elapsed_ms += policy.stage_timeout_ms;
-            if sink.enabled() {
-                sink.emit(TraceEvent::ConvAttempt {
-                    stage: kind.label().to_string(),
-                    shard: 0,
-                    attempt,
-                    outcome: "timeout".to_string(),
-                    cost_ms: policy.stage_timeout_ms,
-                });
-            }
-            continue;
-        }
-        trace.elapsed_ms += delay.ocs_ms;
-        if rng.gen_bool(faults.ocs_fail_prob) {
-            if sink.enabled() {
-                sink.emit(TraceEvent::ConvAttempt {
-                    stage: kind.label().to_string(),
-                    shard: 0,
-                    attempt,
-                    outcome: "fail".to_string(),
-                    cost_ms: delay.ocs_ms,
-                });
-            }
-            continue;
-        }
-        trace.ok = true;
-        if sink.enabled() {
-            sink.emit(TraceEvent::ConvAttempt {
-                stage: kind.label().to_string(),
-                shard: 0,
-                attempt,
-                outcome: "ok".to_string(),
-                cost_ms: delay.ocs_ms,
-            });
-        }
-        break;
-    }
-    if sink.enabled() {
-        sink.emit(TraceEvent::ConvStage {
-            stage: kind.label().to_string(),
-            shard: 0,
-            attempts: trace.attempts,
-            elapsed_ms: trace.elapsed_ms,
-            ok: trace.ok,
-        });
-    }
-    trace
-}
-
-/// Runs one rule stage (delete/add or a rollback twin) across shards.
-/// Each shard retries its failed rules until done or out of attempts;
-/// a shard-crash draw costs the failover delay and makes no progress.
-/// Returns the per-shard traces, the stage wall-clock (max over shards),
-/// and the rules completed per shard.
-fn run_rule_stage<S: TraceSink>(
-    kind: StageKind,
-    shard_counts: &[usize],
-    per_rule_ms: f64,
-    policy: &RetryPolicy,
-    faults: &ControlFaults,
-    sink: &mut S,
 ) -> (Vec<StageTrace>, f64, Vec<usize>) {
-    let mut traces = Vec::with_capacity(shard_counts.len());
-    let mut done = Vec::with_capacity(shard_counts.len());
+    use StageKind::*;
+    let (unit_ms, fail_prob, fail_label) = match kind {
+        Ocs | RollbackOcs => (delay.ocs_ms, faults.ocs_fail_prob, "fail"),
+        RuleDelete | RollbackDelete => (delay.per_rule_delete_ms, faults.rule_fail_prob, "partial"),
+        RuleAdd | RollbackAdd => (delay.per_rule_add_ms, faults.rule_fail_prob, "partial"),
+    };
+    let (stall_prob, stall_ms, stall_label) = match kind {
+        Ocs | RollbackOcs => (faults.ocs_timeout_prob, policy.stage_timeout_ms, "timeout"),
+        _ => (faults.shard_crash_prob, faults.shard_recover_ms, "crash"),
+    };
+    let mut traces = Vec::with_capacity(counts.len());
+    let mut done = Vec::with_capacity(counts.len());
     let mut stage_ms = 0.0f64;
-    for (shard, &count) in shard_counts.iter().enumerate() {
+    for (shard, &count) in counts.iter().enumerate() {
         let mut rng = stage_rng(faults, kind, shard);
         let mut trace = StageTrace {
             stage: kind,
@@ -376,57 +312,37 @@ fn run_rule_stage<S: TraceSink>(
             attempts: 0,
             backoffs_ms: Vec::new(),
             elapsed_ms: 0.0,
-            ok: count == 0,
+            ok: false,
         };
         let mut remaining = count;
         for try_ in policy.backoff().attempts() {
             if remaining == 0 {
                 break;
             }
-            let attempt = try_.number;
-            trace.attempts = attempt;
+            trace.attempts = try_.number;
             if let Some(wait) = try_.wait_ms {
                 trace.backoffs_ms.push(wait);
                 trace.elapsed_ms += wait;
             }
-            if rng.gen_bool(faults.shard_crash_prob) {
-                trace.elapsed_ms += faults.shard_recover_ms;
-                if sink.enabled() {
-                    sink.emit(TraceEvent::ConvAttempt {
-                        stage: kind.label().to_string(),
-                        shard,
-                        attempt,
-                        outcome: "crash".to_string(),
-                        cost_ms: faults.shard_recover_ms,
-                    });
-                }
-                continue;
-            }
-            // Every outstanding rule costs its update time this attempt;
-            // failed rules stay outstanding for the next one.
-            let attempt_ms = remaining as f64 * per_rule_ms;
-            trace.elapsed_ms += attempt_ms;
-            let mut failed = 0usize;
-            for _ in 0..remaining {
-                if rng.gen_bool(faults.rule_fail_prob) {
-                    failed += 1;
-                }
-            }
-            remaining = failed;
+            let (outcome, cost_ms) = if rng.gen_bool(stall_prob) {
+                (stall_label, stall_ms)
+            } else {
+                let attempt_ms = remaining as f64 * unit_ms;
+                remaining = (0..remaining).filter(|_| rng.gen_bool(fail_prob)).count();
+                (if remaining == 0 { "ok" } else { fail_label }, attempt_ms)
+            };
+            trace.elapsed_ms += cost_ms;
             if sink.enabled() {
                 sink.emit(TraceEvent::ConvAttempt {
                     stage: kind.label().to_string(),
                     shard,
-                    attempt,
-                    outcome: if remaining == 0 { "ok" } else { "partial" }.to_string(),
-                    cost_ms: attempt_ms,
+                    attempt: try_.number,
+                    outcome: outcome.to_string(),
+                    cost_ms,
                 });
             }
-            if remaining == 0 {
-                trace.ok = true;
-                break;
-            }
         }
+        trace.ok = remaining == 0;
         if sink.enabled() {
             sink.emit(TraceEvent::ConvStage {
                 stage: kind.label().to_string(),
@@ -447,6 +363,15 @@ fn run_rule_stage<S: TraceSink>(
 /// carried into the outcome; the controller is responsible for actually
 /// committing the target assignment iff the status is `Committed`.
 ///
+/// The forward plan is `[Ocs (if crosspoints change), RuleDelete,
+/// RuleAdd]`. When a stage fails persistently, the stages already run
+/// (the failed one included) are unwound in reverse order, each by its
+/// undo stage over the units it completed: `RuleAdd → RollbackDelete`,
+/// `RuleDelete → RollbackAdd`, `Ocs → RollbackOcs`. An undo with
+/// nothing to undo is skipped (a failed OCS stage leaves the old
+/// crosspoints latched, so it rolls back for free); the first undo that
+/// fails persistently leaves the network `Degraded`.
+///
 /// `sink` receives the conversion timeline: `ConvStart`, one
 /// `ConvAttempt` per fault draw, one `ConvStage` span per
 /// `(stage, shard)` cell, and a terminal `ConvEnd`. Emission never draws
@@ -462,6 +387,14 @@ pub fn run_conversion<S: TraceSink>(
 ) -> Result<ConversionOutcome, ConversionError> {
     policy.validate()?;
     faults.validate()?;
+    // More shards than switches would only add idle shards; rejecting
+    // them also bounds the partition's allocation.
+    if policy.shards > work.per_switch.len().max(1) {
+        return Err(ConversionError::InvalidPolicy {
+            which: "shards",
+            value: policy.shards as f64,
+        });
+    }
 
     let deletes: usize = work.per_switch.iter().map(|&(d, _)| d).sum();
     let adds: usize = work.per_switch.iter().map(|&(_, a)| a).sum();
@@ -490,224 +423,56 @@ pub fn run_conversion<S: TraceSink>(
     };
 
     let assignment = shard_partition(&work.per_switch, policy.shards);
-    let shard_deletes: Vec<usize> = assignment
-        .iter()
-        .map(|sws| sws.iter().map(|&i| work.per_switch[i].0).sum())
-        .collect();
-    let shard_adds: Vec<usize> = assignment
-        .iter()
-        .map(|sws| sws.iter().map(|&i| work.per_switch[i].1).sum())
-        .collect();
+    let shard_units = |units: fn(&(usize, usize)) -> usize| -> Vec<usize> {
+        assignment
+            .iter()
+            .map(|sws| sws.iter().map(|&i| units(&work.per_switch[i])).sum())
+            .collect()
+    };
+    let mut plan = Vec::with_capacity(3);
+    if work.crosspoints_changed > 0 {
+        plan.push((StageKind::Ocs, vec![1]));
+    }
+    plan.push((StageKind::RuleDelete, shard_units(|&(d, _)| d)));
+    plan.push((StageKind::RuleAdd, shard_units(|&(_, a)| a)));
 
     let mut stages: Vec<StageTrace> = Vec::new();
     let mut total_ms = 0.0f64;
-
-    // Forward: OCS.
-    let mut ocs_committed = false;
-    if work.crosspoints_changed > 0 {
-        let t = run_ocs_stage(StageKind::Ocs, &work.delay, policy, faults, sink);
-        total_ms += t.elapsed_ms;
-        let ok = t.ok;
-        ocs_committed = ok;
-        stages.push(t);
-        if !ok {
-            // Nothing mutated: a failed OCS attempt leaves the old
-            // crosspoints latched, so rollback is a no-op.
-            return Ok(finish(
-                ConversionStatus::RolledBack,
-                report,
-                stages,
-                Some(from_label.to_string()),
-                total_ms,
-                sink,
-            ));
-        }
-    }
-
-    // Forward: rule delete.
-    let (del_traces, del_ms, del_done) = run_rule_stage(
-        StageKind::RuleDelete,
-        &shard_deletes,
-        work.delay.per_rule_delete_ms,
-        policy,
-        faults,
-        sink,
-    );
-    let delete_ok = del_traces.iter().all(|t| t.ok);
-    total_ms += del_ms;
-    stages.extend(del_traces);
-    if !delete_ok {
-        return rollback(
-            RollbackWork {
-                readd: del_done,
-                undelete: vec![0; policy.shards],
-                reverse_ocs: ocs_committed,
-            },
-            work,
-            report,
-            stages,
-            from_label,
-            policy,
-            faults,
-            total_ms,
-            sink,
-        );
-    }
-
-    // Forward: rule add.
-    let (add_traces, add_ms, add_done) = run_rule_stage(
-        StageKind::RuleAdd,
-        &shard_adds,
-        work.delay.per_rule_add_ms,
-        policy,
-        faults,
-        sink,
-    );
-    let add_ok = add_traces.iter().all(|t| t.ok);
-    total_ms += add_ms;
-    stages.extend(add_traces);
-    if !add_ok {
-        return rollback(
-            RollbackWork {
-                readd: shard_deletes,
-                undelete: add_done,
-                reverse_ocs: ocs_committed,
-            },
-            work,
-            report,
-            stages,
-            from_label,
-            policy,
-            faults,
-            total_ms,
-            sink,
-        );
-    }
-
-    Ok(finish(
-        ConversionStatus::Committed,
-        report,
-        stages,
-        None,
-        total_ms,
-        sink,
-    ))
-}
-
-/// What a rollback must undo, per shard.
-struct RollbackWork {
-    /// Rules the forward pass deleted that must be re-installed.
-    readd: Vec<usize>,
-    /// Rules the forward pass added that must be removed.
-    undelete: Vec<usize>,
-    /// Whether the crosspoints were switched and must be reversed.
-    reverse_ocs: bool,
-}
-
-/// Unwinds a failed conversion in reverse stage order, under the same
-/// fault model and retry policy. Any rollback stage failing persistently
-/// degrades the network.
-#[allow(clippy::too_many_arguments)]
-fn rollback<S: TraceSink>(
-    undo: RollbackWork,
-    work: &ConversionWork,
-    report: ConversionReport,
-    mut stages: Vec<StageTrace>,
-    from_label: &str,
-    policy: &RetryPolicy,
-    faults: &ControlFaults,
-    mut total_ms: f64,
-    sink: &mut S,
-) -> Result<ConversionOutcome, ConversionError> {
-    let target = Some(from_label.to_string());
-
-    // Remove whatever the add stage managed to install.
-    if undo.undelete.iter().any(|&n| n > 0) {
-        let (traces, ms, _) = run_rule_stage(
-            StageKind::RollbackDelete,
-            &undo.undelete,
-            work.delay.per_rule_delete_ms,
-            policy,
-            faults,
-            sink,
-        );
-        let ok = traces.iter().all(|t| t.ok);
+    let mut run = |kind, counts: &[usize]| {
+        let (traces, ms, done) = run_stage(kind, counts, &work.delay, policy, faults, sink);
         total_ms += ms;
-        stages.extend(traces);
-        if !ok {
-            return Ok(finish(
-                ConversionStatus::Degraded,
-                report,
-                stages,
-                target,
-                total_ms,
-                sink,
-            ));
-        }
-    }
-
-    // Re-install whatever the delete stage removed.
-    if undo.readd.iter().any(|&n| n > 0) {
-        let (traces, ms, _) = run_rule_stage(
-            StageKind::RollbackAdd,
-            &undo.readd,
-            work.delay.per_rule_add_ms,
-            policy,
-            faults,
-            sink,
-        );
         let ok = traces.iter().all(|t| t.ok);
-        total_ms += ms;
         stages.extend(traces);
+        (ok, done)
+    };
+
+    let mut ran = Vec::with_capacity(plan.len());
+    let mut status = ConversionStatus::Committed;
+    for (kind, counts) in &plan {
+        let (ok, done) = run(*kind, counts);
+        ran.push((*kind, done));
         if !ok {
-            return Ok(finish(
-                ConversionStatus::Degraded,
-                report,
-                stages,
-                target,
-                total_ms,
-                sink,
-            ));
+            status = ConversionStatus::RolledBack;
+            break;
         }
     }
-
-    // Reverse the crosspoints last (the forward pass switched them
-    // first).
-    if undo.reverse_ocs {
-        let t = run_ocs_stage(StageKind::RollbackOcs, &work.delay, policy, faults, sink);
-        total_ms += t.elapsed_ms;
-        let ok = t.ok;
-        stages.push(t);
-        if !ok {
-            return Ok(finish(
-                ConversionStatus::Degraded,
-                report,
-                stages,
-                target,
-                total_ms,
-                sink,
-            ));
+    if status == ConversionStatus::RolledBack {
+        for (kind, done) in ran.iter().rev() {
+            if done.iter().all(|&n| n == 0) {
+                continue;
+            }
+            let undo = match kind {
+                StageKind::Ocs => StageKind::RollbackOcs,
+                StageKind::RuleDelete => StageKind::RollbackAdd,
+                // RuleAdd: the plan holds forward stages only.
+                _ => StageKind::RollbackDelete,
+            };
+            if !run(undo, done).0 {
+                status = ConversionStatus::Degraded;
+                break;
+            }
         }
     }
-
-    Ok(finish(
-        ConversionStatus::RolledBack,
-        report,
-        stages,
-        target,
-        total_ms,
-        sink,
-    ))
-}
-
-fn finish<S: TraceSink>(
-    status: ConversionStatus,
-    report: ConversionReport,
-    stages: Vec<StageTrace>,
-    rollback_to: Option<String>,
-    total_ms: f64,
-    sink: &mut S,
-) -> ConversionOutcome {
     let total_retries: u32 = stages.iter().map(|t| t.attempts.saturating_sub(1)).sum();
     if sink.enabled() {
         sink.emit(TraceEvent::ConvEnd {
@@ -716,14 +481,14 @@ fn finish<S: TraceSink>(
             retries: total_retries,
         });
     }
-    ConversionOutcome {
+    Ok(ConversionOutcome {
         status,
         report,
         stages,
         total_retries,
-        rollback_to,
+        rollback_to: (status != ConversionStatus::Committed).then(|| from_label.to_string()),
         total_ms,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -972,6 +737,21 @@ mod tests {
             run(&w, &RetryPolicy::default(), &bad_faults),
             Err(ConversionError::Faults(_))
         ));
+        // More shards than switches is rejected before the partition
+        // allocates anything.
+        for shards in [w.per_switch.len() + 1, usize::MAX] {
+            let bad_policy = RetryPolicy {
+                shards,
+                ..RetryPolicy::default()
+            };
+            assert!(matches!(
+                run(&w, &bad_policy, &ControlFaults::none()),
+                Err(ConversionError::InvalidPolicy {
+                    which: "shards",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

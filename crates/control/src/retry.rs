@@ -65,7 +65,7 @@ impl Backoff {
     /// first attempt, `min(base * factor^(attempt-2), cap)` after.
     /// Computed by repeated multiplication, exactly like
     /// [`attempts`](Self::attempts).
-    pub fn wait_before_ms(&self, attempt: u32) -> f64 {
+    fn wait_before_ms(&self, attempt: u32) -> f64 {
         if attempt <= 1 {
             return 0.0;
         }
@@ -80,9 +80,10 @@ impl Backoff {
         }
     }
 
-    /// [`wait_before_ms`](Self::wait_before_ms) as a [`Duration`] for
-    /// real-time sleepers. Non-finite or negative waits collapse to
-    /// zero.
+    /// The wait before `attempt` (1-based) as a [`Duration`] for
+    /// real-time sleepers: zero for the first attempt, then the same
+    /// milliseconds [`attempts`](Self::attempts) yields. Non-finite or
+    /// negative waits collapse to zero.
     pub fn wait_before(&self, attempt: u32) -> Duration {
         let ms = self.wait_before_ms(attempt);
         if ms.is_finite() && ms > 0.0 {

@@ -115,21 +115,6 @@ impl AllocTelemetry {
             1.0 - (self.link_scans as f64 / self.link_scans_naive as f64)
         }
     }
-
-    /// Exports the counters into an [`obs::Metrics`] registry under the
-    /// `alloc.` namespace, plus the derived `alloc.scan_savings` gauge,
-    /// so allocator effort shows up next to the engine's other
-    /// observability instruments.
-    pub fn export(&self, m: &mut obs::Metrics) {
-        m.add("alloc.epochs", self.epochs);
-        m.add("alloc.rounds", self.rounds);
-        m.add("alloc.dirty_links", self.dirty_links);
-        m.add("alloc.dirty_entities", self.dirty_entities);
-        m.add("alloc.reused_rates", self.reused_rates);
-        m.add("alloc.link_scans", self.link_scans);
-        m.add("alloc.link_scans_naive", self.link_scans_naive);
-        m.gauge("alloc.scan_savings", self.scan_savings());
-    }
 }
 
 /// Persistent subflow→entity bindings between the engine's `active`

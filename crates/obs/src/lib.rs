@@ -18,17 +18,20 @@
 //!   allocator epochs, conversion stages, sweep progress). Events are
 //!   plain serde values; [`JsonlSink`] writes one compact JSON object
 //!   per line, deterministically for a deterministic event stream.
-//! * [`Metrics`] — a small insertion-ordered facade over counters,
-//!   gauges and HDR-style log-bucketed [`Histogram`]s, used by the
-//!   experiment bins (`--metrics out.jsonl`) and `perfsnap`.
+//! * [`Histogram`] — an HDR-style log-bucketed sample distribution,
+//!   used by the experiment bins' `--metrics out.jsonl` recorder and,
+//!   through [`Histogram::bucket_index`], by the decomposed
+//!   simulation's flow signatures.
 //!
-//! No layer below `ft-bench` ever *requires* a sink: tracing is opt-in
-//! per call site via the `*_traced` entry points.
+//! No layer below `ft-bench` ever *requires* a sink: the traced entry
+//! points (`flowsim::simulate_under_faults_with_provider_traced`,
+//! `control::resilient::run_conversion`) take the sink as an argument,
+//! and untraced callers pass [`NoopSink`].
 
 pub mod event;
 pub mod metrics;
 pub mod sink;
 
 pub use event::{ParkCause, TraceEvent};
-pub use metrics::{Histogram, Metrics};
+pub use metrics::Histogram;
 pub use sink::{JsonlSink, NoopSink, RingSink, TraceSink};

@@ -1,11 +1,5 @@
-//! A small static-dispatch metrics facade: counters, gauges, and
-//! HDR-style log-bucketed histograms.
-//!
-//! [`Metrics`] is a plain struct owned by whoever is measuring — no
-//! globals, no atomics, no trait objects. Registration is implicit
-//! (first touch creates the instrument) and iteration order is
-//! insertion order, so a serialized dump is deterministic for a
-//! deterministic program.
+//! An HDR-style log-bucketed [`Histogram`], a plain struct owned by
+//! whoever is measuring — no globals, no atomics, no trait objects.
 
 use serde::{Deserialize, Serialize};
 
@@ -174,148 +168,9 @@ impl Histogram {
     }
 }
 
-/// One named instrument.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Instrument {
-    /// Monotone event count.
-    Counter(u64),
-    /// Last-write-wins value.
-    Gauge(f64),
-    /// Sample distribution.
-    Histogram(Histogram),
-}
-
-/// Insertion-ordered named counters, gauges, and histograms.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct Metrics {
-    entries: Vec<(String, Instrument)>,
-}
-
-impl Metrics {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn slot(&mut self, name: &str, make: impl FnOnce() -> Instrument) -> &mut Instrument {
-        if let Some(i) = self.entries.iter().position(|(n, _)| n == name) {
-            return &mut self.entries[i].1;
-        }
-        self.entries.push((name.to_string(), make()));
-        &mut self.entries.last_mut().expect("just pushed").1
-    }
-
-    /// Adds `delta` to the named counter (creating it at zero).
-    /// Panics if `name` is already a gauge or histogram.
-    pub fn add(&mut self, name: &str, delta: u64) {
-        match self.slot(name, || Instrument::Counter(0)) {
-            Instrument::Counter(c) => *c += delta,
-            other => panic!("metric {name} is {other:?}, not a counter"),
-        }
-    }
-
-    /// Sets the named gauge. Panics if `name` is another instrument
-    /// kind.
-    pub fn gauge(&mut self, name: &str, value: f64) {
-        match self.slot(name, || Instrument::Gauge(0.0)) {
-            Instrument::Gauge(g) => *g = value,
-            other => panic!("metric {name} is {other:?}, not a gauge"),
-        }
-    }
-
-    /// Records a sample into the named histogram. Panics if `name` is
-    /// another instrument kind.
-    pub fn record(&mut self, name: &str, value: f64) {
-        match self.slot(name, || Instrument::Histogram(Histogram::new())) {
-            Instrument::Histogram(h) => h.record(value),
-            other => panic!("metric {name} is {other:?}, not a histogram"),
-        }
-    }
-
-    /// Looks up an instrument by name.
-    pub fn get(&self, name: &str) -> Option<&Instrument> {
-        self.entries.iter().find(|(n, _)| n == name).map(|(_, i)| i)
-    }
-
-    /// The named counter's value (0 if absent or another kind).
-    pub fn counter(&self, name: &str) -> u64 {
-        match self.get(name) {
-            Some(Instrument::Counter(c)) => *c,
-            _ => 0,
-        }
-    }
-
-    /// The named histogram, if present.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        match self.get(name) {
-            Some(Instrument::Histogram(h)) => Some(h),
-            _ => None,
-        }
-    }
-
-    /// Iterates `(name, instrument)` in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Instrument)> {
-        self.entries.iter().map(|(n, i)| (n.as_str(), i))
-    }
-
-    /// Renders a compact deterministic one-object JSON summary:
-    /// counters and gauges verbatim, histograms as
-    /// `{count, mean, min, p50, p99, max}`.
-    pub fn summary_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (name, inst)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:", quote(name)));
-            match inst {
-                Instrument::Counter(c) => out.push_str(&c.to_string()),
-                Instrument::Gauge(g) => out.push_str(&fmt_f64(*g)),
-                Instrument::Histogram(h) => out.push_str(&format!(
-                    "{{\"count\":{},\"mean\":{},\"min\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                    h.count(),
-                    fmt_f64(h.mean()),
-                    fmt_f64(h.min()),
-                    fmt_f64(h.percentile(50.0)),
-                    fmt_f64(h.percentile(99.0)),
-                    fmt_f64(h.max()),
-                )),
-            }
-        }
-        out.push('}');
-        out
-    }
-}
-
-fn quote(s: &str) -> String {
-    // ftlint::allow(FTL-R001): serializing a plain &str cannot fail
-    serde_json::to_string(&s).expect("strings serialize")
-}
-
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        // ftlint::allow(FTL-R001): serializing a finite f64 cannot fail (non-finite handled above)
-        serde_json::to_string(&v).expect("finite floats serialize")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_and_gauges() {
-        let mut m = Metrics::new();
-        m.add("cells", 1);
-        m.add("cells", 4);
-        m.gauge("peak_rss", 123.0);
-        m.gauge("peak_rss", 456.0);
-        assert_eq!(m.counter("cells"), 5);
-        assert!(matches!(m.get("peak_rss"), Some(Instrument::Gauge(g)) if *g == 456.0));
-        assert_eq!(m.counter("absent"), 0);
-    }
 
     #[test]
     fn histogram_percentiles_bound_samples() {
@@ -442,30 +297,5 @@ mod tests {
         h.record(1e300);
         assert_eq!(h.count(), 2);
         assert!(h.percentile(100.0) > 0.0);
-    }
-
-    #[test]
-    fn summary_json_is_deterministic_and_ordered() {
-        let mut m = Metrics::new();
-        m.add("b_second", 1);
-        m.gauge("a_first", 1.5);
-        m.record("lat_ms", 10.0);
-        let a = m.summary_json();
-        assert_eq!(a, m.summary_json());
-        // Insertion order, not alphabetical.
-        let ib = a.find("b_second").unwrap();
-        let ia = a.find("a_first").unwrap();
-        assert!(ib < ia);
-        assert!(a.contains("\"count\":1"));
-        // The summary must itself be valid JSON.
-        assert!(a.starts_with('{') && a.ends_with('}'));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a counter")]
-    fn kind_confusion_panics() {
-        let mut m = Metrics::new();
-        m.gauge("x", 1.0);
-        m.add("x", 1);
     }
 }
