@@ -1,19 +1,7 @@
 //! Extension experiment: ablation. See EXPERIMENTS.md.
 
 use ft_bench::experiments::ablation;
-use ft_bench::{recorder, Cli};
 
 fn main() {
-    let cli = Cli::parse("ablation");
-    let rec = recorder::start("ablation", &cli);
-    let scale = cli.scale;
-    let out = ablation::run(scale);
-    ablation::print(&out);
-    if scale.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("serializable")
-        );
-    }
-    recorder::finish(rec);
+    ft_bench::experiment_main("ablation", ablation::run, ablation::print);
 }

@@ -2,19 +2,7 @@
 //! See EXPERIMENTS.md.
 
 use ft_bench::experiments::bigsim;
-use ft_bench::{recorder, Cli};
 
 fn main() {
-    let cli = Cli::parse("bigsim");
-    let rec = recorder::start("bigsim", &cli);
-    let scale = cli.scale;
-    let out = bigsim::run(scale);
-    bigsim::print(&out);
-    if scale.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("serializable")
-        );
-    }
-    recorder::finish(rec);
+    ft_bench::experiment_main("bigsim", bigsim::run, bigsim::print);
 }

@@ -1,19 +1,7 @@
 //! Regenerates the paper's fig10 data. See EXPERIMENTS.md.
 
 use ft_bench::experiments::fig10;
-use ft_bench::{recorder, Cli};
 
 fn main() {
-    let cli = Cli::parse("fig10");
-    let rec = recorder::start("fig10", &cli);
-    let scale = cli.scale;
-    let out = fig10::run(scale);
-    fig10::print(&out);
-    if scale.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("serializable")
-        );
-    }
-    recorder::finish(rec);
+    ft_bench::experiment_main("fig10", fig10::run, fig10::print);
 }

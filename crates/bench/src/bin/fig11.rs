@@ -1,19 +1,7 @@
 //! Regenerates the paper's fig11 data. See EXPERIMENTS.md.
 
 use ft_bench::experiments::fig11;
-use ft_bench::{recorder, Cli};
 
 fn main() {
-    let cli = Cli::parse("fig11");
-    let rec = recorder::start("fig11", &cli);
-    let scale = cli.scale;
-    let out = fig11::run(scale);
-    fig11::print(&out);
-    if scale.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("serializable")
-        );
-    }
-    recorder::finish(rec);
+    ft_bench::experiment_main("fig11", fig11::run, fig11::print);
 }

@@ -1,19 +1,7 @@
 //! Regenerates the paper's fig6 data. See EXPERIMENTS.md.
 
 use ft_bench::experiments::fig6;
-use ft_bench::{recorder, Cli};
 
 fn main() {
-    let cli = Cli::parse("fig6");
-    let rec = recorder::start("fig6", &cli);
-    let scale = cli.scale;
-    let out = fig6::run(scale);
-    fig6::print(&out);
-    if scale.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("serializable")
-        );
-    }
-    recorder::finish(rec);
+    ft_bench::experiment_main("fig6", fig6::run, fig6::print);
 }

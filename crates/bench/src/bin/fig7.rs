@@ -1,19 +1,7 @@
 //! Regenerates the paper's fig7 data. See EXPERIMENTS.md.
 
 use ft_bench::experiments::fig7;
-use ft_bench::{recorder, Cli};
 
 fn main() {
-    let cli = Cli::parse("fig7");
-    let rec = recorder::start("fig7", &cli);
-    let scale = cli.scale;
-    let out = fig7::run(scale);
-    fig7::print(&out);
-    if scale.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("serializable")
-        );
-    }
-    recorder::finish(rec);
+    ft_bench::experiment_main("fig7", fig7::run, fig7::print);
 }

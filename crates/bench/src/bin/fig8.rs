@@ -1,19 +1,7 @@
 //! Regenerates the paper's fig8 data. See EXPERIMENTS.md.
 
 use ft_bench::experiments::fig8;
-use ft_bench::{recorder, Cli};
 
 fn main() {
-    let cli = Cli::parse("fig8");
-    let rec = recorder::start("fig8", &cli);
-    let scale = cli.scale;
-    let out = fig8::run(scale);
-    fig8::print(&out);
-    if scale.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("serializable")
-        );
-    }
-    recorder::finish(rec);
+    ft_bench::experiment_main("fig8", fig8::run, fig8::print);
 }

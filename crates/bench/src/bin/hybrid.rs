@@ -1,19 +1,7 @@
 //! Extension experiment: hybrid. See EXPERIMENTS.md.
 
 use ft_bench::experiments::hybrid;
-use ft_bench::{recorder, Cli};
 
 fn main() {
-    let cli = Cli::parse("hybrid");
-    let rec = recorder::start("hybrid", &cli);
-    let scale = cli.scale;
-    let out = hybrid::run(scale);
-    hybrid::print(&out);
-    if scale.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("serializable")
-        );
-    }
-    recorder::finish(rec);
+    ft_bench::experiment_main("hybrid", hybrid::run, hybrid::print);
 }

@@ -1,19 +1,7 @@
 //! Extension experiment: resilience. See EXPERIMENTS.md.
 
 use ft_bench::experiments::resilience;
-use ft_bench::{recorder, Cli};
 
 fn main() {
-    let cli = Cli::parse("resilience");
-    let rec = recorder::start("resilience", &cli);
-    let scale = cli.scale;
-    let out = resilience::run(scale);
-    resilience::print(&out);
-    if scale.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("serializable")
-        );
-    }
-    recorder::finish(rec);
+    ft_bench::experiment_main("resilience", resilience::run, resilience::print);
 }

@@ -1,19 +1,7 @@
 //! Regenerates the paper's table1 data. See EXPERIMENTS.md.
 
 use ft_bench::experiments::table1;
-use ft_bench::{recorder, Cli};
 
 fn main() {
-    let cli = Cli::parse("table1");
-    let rec = recorder::start("table1", &cli);
-    let scale = cli.scale;
-    let out = table1::run(scale);
-    table1::print(&out);
-    if scale.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("serializable")
-        );
-    }
-    recorder::finish(rec);
+    ft_bench::experiment_main("table1", table1::run, table1::print);
 }

@@ -1,19 +1,7 @@
 //! Regenerates the paper's table3 data. See EXPERIMENTS.md.
 
 use ft_bench::experiments::table3;
-use ft_bench::{recorder, Cli};
 
 fn main() {
-    let cli = Cli::parse("table3");
-    let rec = recorder::start("table3", &cli);
-    let scale = cli.scale;
-    let out = table3::run(scale);
-    table3::print(&out);
-    if scale.json {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&out).expect("serializable")
-        );
-    }
-    recorder::finish(rec);
+    ft_bench::experiment_main("table3", table3::run, table3::print);
 }

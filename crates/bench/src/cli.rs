@@ -44,7 +44,7 @@ pub fn usage(bin: &str) -> String {
 }
 
 /// The usage text for a dispatch-capable `bin`.
-pub fn usage_dispatch(bin: &str) -> String {
+fn usage_dispatch(bin: &str) -> String {
     format!(
         "{}\n\
          \x20 --workers <n>          distribute the sweep over n ftd worker processes\n\
@@ -98,12 +98,12 @@ impl Cli {
     /// Pure parser over an argument slice (no process exit), for tests
     /// and for [`parse`](Self::parse). Rejects the dispatch-only flags
     /// so non-dispatch bins stay strict.
-    pub fn parse_from(args: &[String]) -> Result<Self, String> {
+    fn parse_from(args: &[String]) -> Result<Self, String> {
         Self::parse_impl(args, false)
     }
 
     /// [`parse_from`](Self::parse_from) accepting `--workers`/`--chaos`.
-    pub fn parse_from_dispatch(args: &[String]) -> Result<Self, String> {
+    fn parse_from_dispatch(args: &[String]) -> Result<Self, String> {
         Self::parse_impl(args, true)
     }
 

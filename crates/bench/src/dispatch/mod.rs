@@ -10,9 +10,11 @@
 //!   cells are leased in grid order from a requeue-aware queue.
 //! * **Deadline** — a lease that outlives [`DispatchConfig::deadline`]
 //!   is abandoned: the cell is requeued (with the shared
-//!   [`control::retry`] backoff schedule) and the worker earns a
-//!   strike. A late result is still accepted if the cell is not done —
-//!   request ids make stale responses unambiguous.
+//!   [`control::retry`] backoff schedule), the worker earns a strike,
+//!   and its lease clock restarts. A late result is still accepted if
+//!   the cell is not done — request ids make stale responses
+//!   unambiguous. A worker that sends no handshake within the same
+//!   deadline is treated as dead.
 //! * **Death** — EOF or a wire error on a worker's pipe requeues its
 //!   in-flight cell. Decode errors are unrecoverable by construction
 //!   (a corrupt length-prefixed stream cannot be resynced), so the
@@ -54,7 +56,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 /// How the driver runs a grid.
@@ -195,16 +197,22 @@ enum Event {
     Down(usize, String),
 }
 
+/// A worker's place in the lease state machine. `Busy` is the plane's
+/// only lease record: a response is matched against it, a death
+/// requeues its cell, and hedging reads its `since`.
 enum WorkerState {
-    /// Spawned, handshake not yet seen.
-    Starting,
+    /// Spawned at `since`, handshake not yet seen; past
+    /// [`DispatchConfig::deadline`] the worker counts as dead.
+    Starting { since: Instant },
     /// Ready for a lease.
     Idle,
-    /// One outstanding lease.
+    /// One outstanding lease of `cell` under `req`, taken at `since`
+    /// (reset when the lease times out). It expires at
+    /// `since + deadline`.
     Busy {
         req: u64,
         cell: usize,
-        deadline: Instant,
+        since: Instant,
     },
     /// Dead or quarantined; never leased again.
     Gone,
@@ -295,11 +303,376 @@ fn spawn_worker(bin: &PathBuf, idx: usize, tx: &Sender<Event>) -> Option<Worker>
         child,
         stdin: Some(stdin),
         pid,
-        state: WorkerState::Starting,
+        state: WorkerState::Starting {
+            since: Instant::now(),
+        },
         strikes: 0,
         leases: 0,
         reader: Some(reader),
     })
+}
+
+/// The plane's whole state, one record per fact: a worker's
+/// [`WorkerState`] is its lease, and a cell is queued iff it is in
+/// `queue`.
+struct Plane<'a, S> {
+    scale: Scale,
+    specs: &'a [CellSpec],
+    cfg: &'a DispatchConfig,
+    sink: &'a mut S,
+    observer: Option<CellObserver>,
+    plan: Option<ChaosPlan>,
+    workers: Vec<Worker>,
+    queue: VecDeque<usize>,
+    attempts: Vec<u32>,
+    not_before: Vec<Instant>,
+    results: Vec<Option<CellOutput>>,
+    done: usize,
+    next_req: u64,
+    summary: DispatchSummary,
+}
+
+impl<S: TraceSink> Plane<'_, S> {
+    /// Builds and emits `event` only if the sink records anything.
+    fn trace(&mut self, event: impl FnOnce() -> TraceEvent) {
+        if self.sink.enabled() {
+            self.sink.emit(event());
+        }
+    }
+
+    /// Drives the lease state machine until every cell has a result.
+    fn run(&mut self, rx: &Receiver<Event>) {
+        while self.done < self.specs.len() {
+            // Graceful degradation: every worker gone → finish in-process.
+            if self.workers.iter().all(|w| !w.live()) {
+                self.summary.fallback_inprocess = true;
+                for cell in 0..self.specs.len() {
+                    if self.results[cell].is_none() {
+                        self.run_inline(cell);
+                    }
+                }
+                break;
+            }
+            self.lease_idle();
+            match rx.recv_timeout(self.wait()) {
+                Ok(Event::Hello(w, hello)) => {
+                    if !self.workers[w].live() {
+                        continue;
+                    }
+                    match wire::check_hello(&hello) {
+                        Ok(()) => {
+                            self.workers[w].state = WorkerState::Idle;
+                            self.trace(|| TraceEvent::WorkerUp {
+                                worker: w,
+                                pid: hello.pid,
+                            });
+                        }
+                        Err(e) => self.quarantine(w, &e.to_string()),
+                    }
+                }
+                Ok(Event::Msg(w, wire::Response::Cell(res))) => {
+                    // Merge only the answer to `w`'s current lease, and
+                    // only if the cell is not done yet.
+                    let answers = match self.workers[w].state {
+                        WorkerState::Busy { req, cell, .. } if req == res.req => {
+                            self.workers[w].state = WorkerState::Idle;
+                            cell == res.cell && self.results[cell].is_none()
+                        }
+                        _ => false,
+                    };
+                    if !answers {
+                        self.summary.duplicates += 1;
+                        continue;
+                    }
+                    if let Some(obs) = &self.observer {
+                        obs(res.cell, res.wall_ms);
+                    }
+                    self.trace(|| TraceEvent::LeaseDone {
+                        worker: w,
+                        cell: res.cell,
+                        req: res.req,
+                        wall_ms: res.wall_ms,
+                    });
+                    self.results[res.cell] = Some(res.output);
+                    self.done += 1;
+                }
+                Ok(Event::Msg(w, wire::Response::Failed { req, cell, message })) => {
+                    if matches!(self.workers[w].state, WorkerState::Busy { req: r, .. } if r == req)
+                    {
+                        self.workers[w].state = WorkerState::Idle;
+                    }
+                    self.requeue(cell, &format!("worker {w} failed: {message}"));
+                    self.strike(w, "failed cell");
+                }
+                Ok(Event::Down(w, reason)) => self.down(w, reason),
+                // The driver holds a sender, so the channel never
+                // disconnects: only timeouts get here.
+                Err(_) => self.expire(),
+            }
+        }
+    }
+
+    /// Leases ready cells to idle workers, highest index first,
+    /// driver-executing any cell that has exhausted its lease budget.
+    /// With nothing leasable queued, an aged in-flight cell is hedged
+    /// instead.
+    fn lease_idle(&mut self) {
+        let now = Instant::now();
+        let mut idle: Vec<usize> = (0..self.workers.len())
+            .filter(|&w| matches!(self.workers[w].state, WorkerState::Idle))
+            .collect();
+        while !idle.is_empty() {
+            let pos = self
+                .queue
+                .iter()
+                .position(|&c| self.results[c].is_none() && self.not_before[c] <= now);
+            let cell = match pos {
+                Some(pos) => {
+                    let cell = self
+                        .queue
+                        .remove(pos)
+                        .expect("position came from the queue");
+                    if self.attempts[cell] >= self.cfg.retry.max_attempts {
+                        self.summary.degraded_cells += 1;
+                        self.run_inline(cell);
+                        continue;
+                    }
+                    cell
+                }
+                None => {
+                    let Some(cell) = self.hedge_candidate(now) else {
+                        break;
+                    };
+                    self.summary.speculations += 1;
+                    cell
+                }
+            };
+            let w = idle.pop().expect("loop guard");
+            self.lease(w, cell, now);
+        }
+    }
+
+    /// Writes one lease of `cell` to worker `w` and inflicts the chaos
+    /// plan's action for it, if any.
+    fn lease(&mut self, w: usize, cell: usize, now: Instant) {
+        let req = self.next_req;
+        self.next_req += 1;
+        let worker = &mut self.workers[w];
+        let action = self.plan.as_ref().and_then(|p| p.action(w, worker.leases));
+        let chaos = match action {
+            Some(ChaosAction::Garbage { seed }) => {
+                Some(wire::ChaosDirective::Garbage { seed, len: 256 })
+            }
+            _ => None,
+        };
+        let params = wire::WorkerParams {
+            req,
+            cell,
+            scale: self.scale,
+            spec: self.specs[cell].clone(),
+            chaos,
+        };
+        let wrote = worker
+            .stdin
+            .as_mut()
+            .map(|s| wire::write_frame(s, &wire::Request::Cell(params)));
+        if !matches!(wrote, Some(Ok(()))) {
+            // The pipe is broken: the reader will report the death;
+            // just requeue the cell (front: it lost no attempt) and
+            // stop leasing to this worker.
+            self.queue.push_front(cell);
+            return;
+        }
+        self.attempts[cell] += 1;
+        worker.leases += 1;
+        worker.state = WorkerState::Busy {
+            req,
+            cell,
+            since: now,
+        };
+        self.summary.leases += 1;
+        self.trace(|| TraceEvent::Lease {
+            worker: w,
+            cell,
+            req,
+        });
+        match action {
+            Some(ChaosAction::Kill) => {
+                let _ = self.workers[w].child.kill();
+            }
+            Some(ChaosAction::Stall) => sigstop(self.workers[w].pid),
+            _ => {}
+        }
+    }
+
+    /// How long to wait for the next event: until the earliest
+    /// handshake or lease deadline, backoff, or hedge threshold.
+    fn wait(&self) -> Duration {
+        let now = Instant::now();
+        let mut wake: Option<Instant> = None;
+        let mut bump = |t: Instant| wake = Some(wake.map_or(t, |u| u.min(t)));
+        for w in &self.workers {
+            if let WorkerState::Starting { since } | WorkerState::Busy { since, .. } = w.state {
+                bump(since + self.cfg.deadline);
+            }
+        }
+        for &c in &self.queue {
+            if self.results[c].is_none() {
+                bump(self.not_before[c]);
+            }
+        }
+        if self
+            .workers
+            .iter()
+            .any(|w| matches!(w.state, WorkerState::Idle))
+        {
+            for since in self.hedgeable().into_values() {
+                bump(since + self.cfg.speculate_after);
+            }
+        }
+        wake.map_or(Duration::from_millis(50), |t| {
+            t.saturating_duration_since(now)
+                .max(Duration::from_millis(1))
+        })
+    }
+
+    /// Expires overdue handshakes (a death) and leases (a requeue and
+    /// a strike).
+    fn expire(&mut self) {
+        let now = Instant::now();
+        for w in 0..self.workers.len() {
+            match self.workers[w].state {
+                WorkerState::Starting { since } if since + self.cfg.deadline <= now => {
+                    self.down(w, "no hello before deadline".into());
+                }
+                WorkerState::Busy { req, cell, since } if since + self.cfg.deadline <= now => {
+                    self.summary.timeouts += 1;
+                    // Abandon the lease but keep listening: a late
+                    // result for `req` is still usable. Resetting
+                    // `since` pushes the deadline so one stall doesn't
+                    // fire every loop.
+                    self.workers[w].state = WorkerState::Busy {
+                        req,
+                        cell,
+                        since: now,
+                    };
+                    self.requeue(cell, &format!("lease timed out on worker {w}"));
+                    self.strike(w, "lease timeout");
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The youngest outstanding lease time per hedgeable cell: in
+    /// flight, not done, not queued, lease budget remaining. Keyed on
+    /// the youngest lease so a just-hedged cell is not hedged again
+    /// until the hedge itself ages past the threshold.
+    fn hedgeable(&self) -> HashMap<usize, Instant> {
+        let mut youngest: HashMap<usize, Instant> = HashMap::new();
+        for w in &self.workers {
+            if let WorkerState::Busy { cell, since, .. } = w.state {
+                youngest
+                    .entry(cell)
+                    .and_modify(|t| *t = (*t).max(since))
+                    .or_insert(since);
+            }
+        }
+        youngest.retain(|&cell, _| {
+            self.results[cell].is_none()
+                && !self.queue.contains(&cell)
+                && self.attempts[cell] < self.cfg.retry.max_attempts
+        });
+        youngest
+    }
+
+    /// Picks the cell for a speculative hedge lease: hedgeable, with
+    /// every outstanding lease at least `speculate_after` old — oldest
+    /// such cell first.
+    fn hedge_candidate(&self, now: Instant) -> Option<usize> {
+        self.hedgeable()
+            .into_iter()
+            .filter(|&(_, since)| now.saturating_duration_since(since) >= self.cfg.speculate_after)
+            .min_by_key(|&(cell, since)| (since, cell))
+            .map(|(cell, _)| cell)
+    }
+
+    /// Executes `cell` in the driver process.
+    fn run_inline(&mut self, cell: usize) {
+        let t = Instant::now();
+        let out = faultsweep::execute_cell(self.scale, &self.specs[cell]);
+        if let Some(obs) = &self.observer {
+            obs(cell, t.elapsed().as_secs_f64() * 1e3);
+        }
+        self.results[cell] = Some(out);
+        self.done += 1;
+    }
+
+    /// Puts a cell back on the queue with its backoff, unless it is
+    /// already done or already queued.
+    fn requeue(&mut self, cell: usize, reason: &str) {
+        if cell >= self.results.len() || self.results[cell].is_some() || self.queue.contains(&cell)
+        {
+            return;
+        }
+        let wait = self
+            .cfg
+            .retry
+            .wait_before(self.attempts[cell].saturating_add(1));
+        self.not_before[cell] = Instant::now() + wait;
+        self.queue.push_back(cell);
+        self.summary.requeues += 1;
+        self.trace(|| TraceEvent::Requeue {
+            cell,
+            reason: reason.to_string(),
+            backoff_ms: wait.as_secs_f64() * 1e3,
+        });
+    }
+
+    /// Worker `w` died: its lease (if any) is requeued and it is never
+    /// leased again.
+    fn down(&mut self, w: usize, reason: String) {
+        if !self.workers[w].live() {
+            return;
+        }
+        self.summary.deaths += 1;
+        if let WorkerState::Busy { cell, .. } = self.workers[w].state {
+            self.requeue(cell, &format!("worker {w} down: {reason}"));
+        }
+        self.workers[w].state = WorkerState::Gone;
+        let _ = self.workers[w].child.kill();
+        self.trace(|| TraceEvent::WorkerDown { worker: w, reason });
+    }
+
+    /// Adds a strike; at the cap the worker is quarantined.
+    fn strike(&mut self, w: usize, why: &str) {
+        let worker = &mut self.workers[w];
+        if !worker.live() {
+            return;
+        }
+        worker.strikes += 1;
+        if worker.strikes >= self.cfg.max_strikes {
+            let reason = format!("{} strikes (last: {why})", worker.strikes);
+            self.quarantine(w, &reason);
+        }
+    }
+
+    /// Kills and permanently retires a worker. Its lease (if any) was
+    /// already requeued by the caller; a buffered late response now
+    /// finds the worker `Gone` and is counted as stale.
+    fn quarantine(&mut self, w: usize, reason: &str) {
+        let worker = &mut self.workers[w];
+        if !worker.live() {
+            return;
+        }
+        worker.state = WorkerState::Gone;
+        let _ = worker.child.kill();
+        self.summary.quarantines += 1;
+        self.trace(|| TraceEvent::WorkerDown {
+            worker: w,
+            reason: format!("quarantined: {reason}"),
+        });
+    }
 }
 
 /// Runs `specs` on the distributed plane and returns the grid-ordered
@@ -318,9 +691,6 @@ pub fn dispatch_cells<S: TraceSink>(
     sink: &mut S,
 ) -> (Vec<CellOutput>, DispatchSummary) {
     let t0 = Instant::now();
-    let observer = crate::sweep::current_observer();
-    let plan = cfg.chaos.map(|seed| ChaosPlan::new(seed, cfg.workers));
-
     let mut summary = DispatchSummary {
         workers: cfg.workers,
         spawned: 0,
@@ -337,8 +707,6 @@ pub fn dispatch_cells<S: TraceSink>(
         chaos_seed: cfg.chaos,
         wall_ms: 0.0,
     };
-
-    let mut results: Vec<Option<CellOutput>> = vec![None; specs.len()];
     if specs.is_empty() {
         summary.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         return (Vec::new(), summary);
@@ -346,347 +714,31 @@ pub fn dispatch_cells<S: TraceSink>(
 
     let (tx, rx): (Sender<Event>, Receiver<Event>) = mpsc::channel();
     let bin = worker_binary(cfg);
-    let mut workers: Vec<Worker> = (0..cfg.workers)
+    let workers: Vec<Worker> = (0..cfg.workers)
         .filter_map(|i| spawn_worker(&bin, i, &tx))
         .collect();
     summary.spawned = workers.len();
-
-    let mut queue: VecDeque<usize> = (0..specs.len()).collect();
-    let mut queued: Vec<bool> = vec![true; specs.len()];
-    let mut attempts: Vec<u32> = vec![0; specs.len()];
-    let mut not_before: Vec<Instant> = vec![t0; specs.len()];
-    let mut in_flight: HashMap<u64, usize> = HashMap::new();
-    let mut next_req: u64 = 0;
-    let mut done = 0usize;
-
-    let run_inline = |cell: usize,
-                      results: &mut Vec<Option<CellOutput>>,
-                      done: &mut usize,
-                      observer: &Option<CellObserver>| {
-        let t = Instant::now();
-        let out = faultsweep::execute_cell(scale, &specs[cell]);
-        if let Some(obs) = observer {
-            obs(cell, t.elapsed().as_secs_f64() * 1e3);
-        }
-        results[cell] = Some(out);
-        *done += 1;
+    let mut plane = Plane {
+        scale,
+        specs,
+        cfg,
+        sink,
+        observer: crate::sweep::current_observer(),
+        plan: cfg.chaos.map(|seed| ChaosPlan::new(seed, cfg.workers)),
+        workers,
+        queue: (0..specs.len()).collect(),
+        attempts: vec![0; specs.len()],
+        not_before: vec![t0; specs.len()],
+        results: vec![None; specs.len()],
+        done: 0,
+        next_req: 0,
+        summary,
     };
-
-    while done < specs.len() {
-        // Graceful degradation: every worker gone → finish in-process.
-        if workers.iter().all(|w| !w.live()) {
-            summary.fallback_inprocess = true;
-            for cell in 0..specs.len() {
-                if results[cell].is_none() {
-                    run_inline(cell, &mut results, &mut done, &observer);
-                }
-            }
-            break;
-        }
-
-        // Lease ready cells to idle workers, driver-executing any cell
-        // that has exhausted its lease budget.
-        let now = Instant::now();
-        let mut idle: Vec<usize> = workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| matches!(w.state, WorkerState::Idle))
-            .map(|(i, _)| i)
-            .collect();
-        while !idle.is_empty() {
-            // First queued cell that is past its backoff; with nothing
-            // leasable queued, hedge an aged in-flight cell instead.
-            let pos = queue
-                .iter()
-                .position(|&c| results[c].is_none() && not_before[c] <= now);
-            let cell = match pos {
-                Some(pos) => {
-                    let cell = queue.remove(pos).expect("position came from the queue");
-                    queued[cell] = false;
-                    if attempts[cell] >= cfg.retry.max_attempts {
-                        summary.degraded_cells += 1;
-                        run_inline(cell, &mut results, &mut done, &observer);
-                        continue;
-                    }
-                    cell
-                }
-                None => {
-                    let Some(cell) =
-                        hedge_candidate(now, &workers, &results, &queued, &attempts, cfg)
-                    else {
-                        break;
-                    };
-                    summary.speculations += 1;
-                    cell
-                }
-            };
-            let w = idle.pop().expect("loop guard");
-            let req = next_req;
-            next_req += 1;
-            let action = plan.as_ref().and_then(|p| p.action(w, workers[w].leases));
-            let directive = match action {
-                Some(ChaosAction::Garbage { seed }) => {
-                    Some(wire::ChaosDirective::Garbage { seed, len: 256 })
-                }
-                _ => None,
-            };
-            let params = wire::WorkerParams {
-                req,
-                cell,
-                scale,
-                spec: specs[cell].clone(),
-                chaos: directive,
-            };
-            let wrote = workers[w]
-                .stdin
-                .as_mut()
-                .map(|s| wire::write_frame(s, &wire::Request::Cell(params)));
-            match wrote {
-                Some(Ok(())) => {
-                    attempts[cell] += 1;
-                    workers[w].leases += 1;
-                    summary.leases += 1;
-                    in_flight.insert(req, cell);
-                    workers[w].state = WorkerState::Busy {
-                        req,
-                        cell,
-                        deadline: now + cfg.deadline,
-                    };
-                    if sink.enabled() {
-                        sink.emit(TraceEvent::Lease {
-                            worker: w,
-                            cell,
-                            req,
-                        });
-                    }
-                    // Inflict the drawn chaos while the cell is in
-                    // flight.
-                    match action {
-                        Some(ChaosAction::Kill) => {
-                            let _ = workers[w].child.kill();
-                        }
-                        Some(ChaosAction::Stall) => sigstop(workers[w].pid),
-                        _ => {}
-                    }
-                }
-                _ => {
-                    // The pipe is broken: the reader will report the
-                    // death; just requeue the cell (front: it lost no
-                    // attempt) and stop leasing to this worker.
-                    queue.push_front(cell);
-                    queued[cell] = true;
-                }
-            }
-        }
-
-        // Wait for the next event or the earliest deadline, backoff,
-        // or hedge threshold.
-        let now = Instant::now();
-        let mut wake: Option<Instant> = None;
-        let bump = |wake: &mut Option<Instant>, t: Instant| {
-            *wake = Some(wake.map_or(t, |u| u.min(t)));
-        };
-        for w in &workers {
-            if let WorkerState::Busy { deadline, .. } = w.state {
-                bump(&mut wake, deadline);
-            }
-        }
-        for &c in &queue {
-            if results[c].is_none() {
-                bump(&mut wake, not_before[c]);
-            }
-        }
-        if workers.iter().any(|w| matches!(w.state, WorkerState::Idle)) {
-            for (cell, leased_at) in youngest_leases(&workers, cfg) {
-                if results[cell].is_none()
-                    && !queued[cell]
-                    && attempts[cell] < cfg.retry.max_attempts
-                {
-                    bump(&mut wake, leased_at + cfg.speculate_after);
-                }
-            }
-        }
-        let timeout = wake.map_or(Duration::from_millis(50), |t| {
-            t.saturating_duration_since(now)
-                .max(Duration::from_millis(1))
-        });
-
-        match rx.recv_timeout(timeout) {
-            Ok(Event::Hello(w, hello)) => {
-                if !workers[w].live() {
-                    continue;
-                }
-                match wire::check_hello(&hello) {
-                    Ok(()) => {
-                        workers[w].state = WorkerState::Idle;
-                        if sink.enabled() {
-                            sink.emit(TraceEvent::WorkerUp {
-                                worker: w,
-                                pid: hello.pid,
-                            });
-                        }
-                    }
-                    Err(e) => {
-                        quarantine(
-                            &mut workers[w],
-                            w,
-                            &e.to_string(),
-                            &mut in_flight,
-                            &mut queue,
-                            &mut queued,
-                            &results,
-                            &mut summary,
-                            sink,
-                        );
-                    }
-                }
-            }
-            Ok(Event::Msg(w, wire::Response::Cell(res))) => {
-                // Free the worker if this answers its current lease.
-                if matches!(workers[w].state, WorkerState::Busy { req, .. } if req == res.req) {
-                    workers[w].state = WorkerState::Idle;
-                }
-                match in_flight.remove(&res.req) {
-                    Some(cell) if results[cell].is_none() && cell == res.cell => {
-                        if let Some(obs) = &observer {
-                            obs(cell, res.wall_ms);
-                        }
-                        if sink.enabled() {
-                            sink.emit(TraceEvent::LeaseDone {
-                                worker: w,
-                                cell,
-                                req: res.req,
-                                wall_ms: res.wall_ms,
-                            });
-                        }
-                        results[cell] = Some(res.output);
-                        done += 1;
-                    }
-                    _ => summary.duplicates += 1,
-                }
-            }
-            Ok(Event::Msg(w, wire::Response::Failed { req, cell, message })) => {
-                if matches!(workers[w].state, WorkerState::Busy { req: r, .. } if r == req) {
-                    workers[w].state = WorkerState::Idle;
-                }
-                in_flight.remove(&req);
-                requeue(
-                    cell,
-                    &format!("worker {w} failed: {message}"),
-                    &cfg.retry,
-                    &attempts,
-                    &mut queue,
-                    &mut queued,
-                    &mut not_before,
-                    &results,
-                    &mut summary,
-                    sink,
-                );
-                strike(
-                    &mut workers[w],
-                    w,
-                    cfg,
-                    "failed cell",
-                    &mut in_flight,
-                    &mut queue,
-                    &mut queued,
-                    &results,
-                    &mut summary,
-                    sink,
-                );
-            }
-            Ok(Event::Down(w, reason)) => {
-                if !workers[w].live() {
-                    continue;
-                }
-                summary.deaths += 1;
-                if let WorkerState::Busy { req, cell, .. } = workers[w].state {
-                    in_flight.remove(&req);
-                    requeue(
-                        cell,
-                        &format!("worker {w} down: {reason}"),
-                        &cfg.retry,
-                        &attempts,
-                        &mut queue,
-                        &mut queued,
-                        &mut not_before,
-                        &results,
-                        &mut summary,
-                        sink,
-                    );
-                }
-                workers[w].state = WorkerState::Gone;
-                let _ = workers[w].child.kill();
-                if sink.enabled() {
-                    sink.emit(TraceEvent::WorkerDown { worker: w, reason });
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                // Expire overdue leases.
-                let now = Instant::now();
-                for (w, worker) in workers.iter_mut().enumerate() {
-                    let WorkerState::Busy {
-                        req,
-                        cell,
-                        deadline,
-                    } = worker.state
-                    else {
-                        continue;
-                    };
-                    if deadline > now {
-                        continue;
-                    }
-                    summary.timeouts += 1;
-                    // Abandon the lease but keep listening: a late
-                    // result for `req` is still usable. The deadline is
-                    // pushed so one stall doesn't fire every loop.
-                    worker.state = WorkerState::Busy {
-                        req,
-                        cell,
-                        deadline: now + cfg.deadline,
-                    };
-                    requeue(
-                        cell,
-                        &format!("lease timed out on worker {w}"),
-                        &cfg.retry,
-                        &attempts,
-                        &mut queue,
-                        &mut queued,
-                        &mut not_before,
-                        &results,
-                        &mut summary,
-                        sink,
-                    );
-                    strike(
-                        worker,
-                        w,
-                        cfg,
-                        "lease timeout",
-                        &mut in_flight,
-                        &mut queue,
-                        &mut queued,
-                        &results,
-                        &mut summary,
-                        sink,
-                    );
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                // Every reader thread is gone; the all-dead branch at
-                // the top of the loop will mop up.
-                for w in &mut workers {
-                    if w.live() {
-                        w.state = WorkerState::Gone;
-                        summary.deaths += 1;
-                    }
-                }
-            }
-        }
-    }
+    plane.run(&rx);
 
     // Wind down: polite shutdown frame, then SIGKILL (also reaps
     // SIGSTOPped stragglers), then reap children and reader threads.
-    for w in &mut workers {
+    for w in &mut plane.workers {
         if let Some(stdin) = w.stdin.as_mut() {
             let _ = wire::write_frame(stdin, &wire::Request::Shutdown);
         }
@@ -695,16 +747,17 @@ pub fn dispatch_cells<S: TraceSink>(
         let _ = w.child.wait();
     }
     drop(rx);
-    for w in &mut workers {
+    for w in &mut plane.workers {
         if let Some(h) = w.reader.take() {
             let _ = h.join();
         }
     }
 
-    audit_merge(specs, &results);
+    audit_merge(specs, &plane.results);
+    let mut summary = plane.summary;
     summary.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if sink.enabled() {
-        sink.emit(TraceEvent::DispatchEnd {
+    if plane.sink.enabled() {
+        plane.sink.emit(TraceEvent::DispatchEnd {
             cells: summary.cells,
             leases: summary.leases,
             speculations: summary.speculations,
@@ -718,152 +771,12 @@ pub fn dispatch_cells<S: TraceSink>(
             wall_ms: summary.wall_ms,
         });
     }
-    let merged = results
+    let merged = plane
+        .results
         .into_iter()
         .map(|r| r.expect("audited: every cell exactly once"))
         .collect();
     (merged, summary)
-}
-
-/// The youngest outstanding lease time per in-flight cell. Keyed on
-/// the youngest lease so a just-hedged cell is not hedged again until
-/// the hedge itself ages past the threshold.
-fn youngest_leases(workers: &[Worker], cfg: &DispatchConfig) -> HashMap<usize, Instant> {
-    let mut youngest: HashMap<usize, Instant> = HashMap::new();
-    for w in workers {
-        if let WorkerState::Busy { cell, deadline, .. } = w.state {
-            // Leases are created with `deadline = leased_at + deadline`
-            // (and timeouts push it the same way), so this recovers the
-            // (re)lease time.
-            let leased_at = deadline - cfg.deadline;
-            youngest
-                .entry(cell)
-                .and_modify(|t| *t = (*t).max(leased_at))
-                .or_insert(leased_at);
-        }
-    }
-    youngest
-}
-
-/// Picks the cell for a speculative hedge lease: in flight, not done,
-/// not queued, lease budget remaining, and every outstanding lease at
-/// least `speculate_after` old — oldest such cell first.
-fn hedge_candidate(
-    now: Instant,
-    workers: &[Worker],
-    results: &[Option<CellOutput>],
-    queued: &[bool],
-    attempts: &[u32],
-    cfg: &DispatchConfig,
-) -> Option<usize> {
-    youngest_leases(workers, cfg)
-        .into_iter()
-        .filter(|&(cell, leased_at)| {
-            results[cell].is_none()
-                && !queued[cell]
-                && attempts[cell] < cfg.retry.max_attempts
-                && now.saturating_duration_since(leased_at) >= cfg.speculate_after
-        })
-        .min_by_key(|&(cell, leased_at)| (leased_at, cell))
-        .map(|(cell, _)| cell)
-}
-
-/// Puts a cell back on the queue with its backoff, unless it is
-/// already done or already queued.
-#[allow(clippy::too_many_arguments)]
-fn requeue<S: TraceSink>(
-    cell: usize,
-    reason: &str,
-    retry: &Backoff,
-    attempts: &[u32],
-    queue: &mut VecDeque<usize>,
-    queued: &mut [bool],
-    not_before: &mut [Instant],
-    results: &[Option<CellOutput>],
-    summary: &mut DispatchSummary,
-    sink: &mut S,
-) {
-    if cell >= results.len() || results[cell].is_some() || queued[cell] {
-        return;
-    }
-    let next_attempt = attempts[cell].saturating_add(1);
-    let wait = retry.wait_before(next_attempt);
-    not_before[cell] = Instant::now() + wait;
-    queue.push_back(cell);
-    queued[cell] = true;
-    summary.requeues += 1;
-    if sink.enabled() {
-        sink.emit(TraceEvent::Requeue {
-            cell,
-            reason: reason.to_string(),
-            backoff_ms: wait.as_secs_f64() * 1e3,
-        });
-    }
-}
-
-/// Adds a strike; at the cap the worker is quarantined.
-#[allow(clippy::too_many_arguments)]
-fn strike<S: TraceSink>(
-    worker: &mut Worker,
-    idx: usize,
-    cfg: &DispatchConfig,
-    why: &str,
-    in_flight: &mut HashMap<u64, usize>,
-    queue: &mut VecDeque<usize>,
-    queued: &mut [bool],
-    results: &[Option<CellOutput>],
-    summary: &mut DispatchSummary,
-    sink: &mut S,
-) {
-    if !worker.live() {
-        return;
-    }
-    worker.strikes += 1;
-    if worker.strikes >= cfg.max_strikes {
-        quarantine(
-            worker,
-            idx,
-            &format!("{} strikes (last: {why})", worker.strikes),
-            in_flight,
-            queue,
-            queued,
-            results,
-            summary,
-            sink,
-        );
-    }
-}
-
-/// Kills and permanently retires a worker. Its in-flight lease (if
-/// any) was already requeued by the caller; the lease table entry is
-/// dropped so a buffered late response is counted as stale.
-#[allow(clippy::too_many_arguments)]
-fn quarantine<S: TraceSink>(
-    worker: &mut Worker,
-    idx: usize,
-    reason: &str,
-    in_flight: &mut HashMap<u64, usize>,
-    _queue: &mut VecDeque<usize>,
-    _queued: &mut [bool],
-    _results: &[Option<CellOutput>],
-    summary: &mut DispatchSummary,
-    sink: &mut S,
-) {
-    if !worker.live() {
-        return;
-    }
-    if let WorkerState::Busy { req, .. } = worker.state {
-        in_flight.remove(&req);
-    }
-    worker.state = WorkerState::Gone;
-    let _ = worker.child.kill();
-    summary.quarantines += 1;
-    if sink.enabled() {
-        sink.emit(TraceEvent::WorkerDown {
-            worker: idx,
-            reason: format!("quarantined: {reason}"),
-        });
-    }
 }
 
 /// Runs the full faultsweep experiment through the distributed plane:

@@ -75,7 +75,7 @@ pub fn run(scale: Scale) -> Vec<Candidate> {
 /// The §3.4 selection rule cross-checked against throughput: does the
 /// APL-minimizing (m, n) land within `tolerance` of the
 /// throughput-maximizing one? Returns (apl_best, throughput_best).
-pub fn profiling_agreement(cands: &[Candidate]) -> (String, String) {
+fn profiling_agreement(cands: &[Candidate]) -> (String, String) {
     let mn: Vec<&Candidate> = cands.iter().filter(|c| c.knob == "mn").collect();
     let apl_best = mn
         .iter()

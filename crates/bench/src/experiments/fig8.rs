@@ -82,7 +82,7 @@ pub fn networks(scale: Scale) -> Vec<(String, DcNetwork, Transport)> {
 }
 
 /// The four traces sized to the reference Clos layout.
-pub fn trace_set(scale: Scale) -> Vec<Workload> {
+fn trace_set(scale: Scale) -> Vec<Workload> {
     let clos = common::topo(1, scale.full);
     let n = clos.total_servers();
     let rack = clos.servers_per_edge;

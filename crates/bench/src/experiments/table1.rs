@@ -46,7 +46,7 @@ pub struct Row {
 /// servers, 4:1 edge oversubscription. Table 1's crossover needs pods
 /// large enough for a random pod fabric to express its advantage, so
 /// this mini uses wider pods than the generic `mini_topo(1)`.
-pub fn device_set(full: bool) -> topology::ClosParams {
+fn device_set(full: bool) -> topology::ClosParams {
     if full {
         common::topo(1, true)
     } else {

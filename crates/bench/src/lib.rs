@@ -25,3 +25,25 @@ pub mod sweep;
 pub use cli::Cli;
 pub use flowsim::faults;
 pub use scale::Scale;
+
+/// The whole `main` of an experiment binary: parses the shared [`Cli`]
+/// for `bin`, starts the `--metrics` recorder, runs the experiment at
+/// the parsed scale, prints it (plus pretty JSON with `--json`), and
+/// finishes the recorder.
+pub fn experiment_main<O, T>(bin: &str, run: fn(Scale) -> O, print: fn(&T))
+where
+    O: serde::Serialize + std::borrow::Borrow<T>,
+    T: ?Sized,
+{
+    let cli = Cli::parse(bin);
+    let rec = recorder::start(bin, &cli);
+    let out = run(cli.scale);
+    print(out.borrow());
+    if cli.scale.json {
+        // ftlint::allow(FTL-R001): derived Serialize on plain experiment rows cannot fail
+        let json = serde_json::to_string_pretty(&out).expect("serializable");
+        // ftlint::allow(FTL-R002): the --json dump is part of the experiment bins' stdout contract
+        println!("{json}");
+    }
+    recorder::finish(rec);
+}

@@ -15,9 +15,26 @@ fn stdout_of(assert: &assert_cmd::Assert) -> String {
     String::from_utf8_lossy(&assert.get_output().stdout).into_owned()
 }
 
+/// Every bin that parses the shared experiment [`ft_bench::Cli`].
+const EXPERIMENT_BINS: [&str; 13] = [
+    "ablation",
+    "bigsim",
+    "experiments",
+    "faultsweep",
+    "fig6",
+    "fig7",
+    "fig8",
+    "fig10",
+    "fig11",
+    "hybrid",
+    "resilience",
+    "table1",
+    "table3",
+];
+
 #[test]
 fn unknown_flag_is_rejected_with_usage() {
-    for bin in ["fig6", "fig8", "resilience", "faultsweep", "experiments"] {
+    for bin in EXPERIMENT_BINS {
         let assert = Command::cargo_bin(bin)
             .expect("binary built")
             .arg("--bogus")
@@ -55,7 +72,7 @@ fn malformed_seed_is_rejected() {
 
 #[test]
 fn help_exits_zero_and_names_flags() {
-    for bin in ["fig6", "faultsweep", "topo", "perfsnap"] {
+    for bin in EXPERIMENT_BINS.into_iter().chain(["topo", "perfsnap"]) {
         let assert = Command::cargo_bin(bin)
             .expect("binary built")
             .arg("--help")

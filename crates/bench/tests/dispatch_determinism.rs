@@ -92,6 +92,32 @@ fn all_workers_dead_degrades_to_inprocess() {
 }
 
 #[test]
+fn silent_workers_die_at_the_handshake_deadline() {
+    // `/bin/cat` keeps its stdout open and never writes a `Hello`: each
+    // worker must be declared dead once the deadline passes, and the
+    // grid must finish in-process. The run sits on its own thread so a
+    // driver that waits forever fails the test instead of hanging it.
+    let cfg = DispatchConfig {
+        worker_bin: Some(PathBuf::from("/bin/cat")),
+        deadline: Duration::from_secs(2),
+        ..cfg(2)
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(run_faultsweep(smoke(), &cfg, &mut NoopSink));
+    });
+    let (out, summary) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("a worker without a handshake must not hang the driver");
+    assert!(summary.fallback_inprocess, "{summary}");
+    assert_eq!(summary.deaths, summary.workers as u64, "{summary}");
+    assert_eq!(
+        serde_json::to_string(&out).expect("serializable"),
+        baseline()
+    );
+}
+
+#[test]
 fn unspawnable_worker_binary_degrades_to_inprocess() {
     let cfg = DispatchConfig {
         worker_bin: Some(PathBuf::from("/nonexistent/ftd-not-here")),

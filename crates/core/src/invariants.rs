@@ -45,7 +45,7 @@ impl Violation {
 /// connector, so the expectation follows from `server_attachment` /
 /// `core_attachment` plus the §3.3 side-pair table — the same algebra the
 /// builder uses, but counted per node instead of materialized as links.
-pub fn expected_ports(ft: &FlatTree, inst: &FlatTreeInstance) -> BTreeMap<NodeId, usize> {
+fn expected_ports(ft: &FlatTree, inst: &FlatTreeInstance) -> BTreeMap<NodeId, usize> {
     let layout = &ft.layout;
     let p = &layout.params;
     let clos = &p.clos;
@@ -362,7 +362,7 @@ pub fn side_wiring_violations(ft: &FlatTree, inst: &FlatTreeInstance) -> Vec<Vio
 
 /// The undirected cable multiset of an instance, keyed by ordered node
 /// pair, in base-rate units. Server cables count as one.
-pub fn link_multiset(inst: &FlatTreeInstance) -> BTreeMap<(NodeId, NodeId), usize> {
+fn link_multiset(inst: &FlatTreeInstance) -> BTreeMap<(NodeId, NodeId), usize> {
     let g = &inst.net.graph;
     let unit = inst_link_gbps(inst);
     let mut set = BTreeMap::new();

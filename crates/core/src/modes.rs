@@ -80,7 +80,7 @@ pub fn local_mode_sixport_locals(layout: &Layout) -> usize {
 }
 
 /// The configuration a converter takes under a mode assignment (§3.5).
-pub fn config_for(
+fn config_for(
     layout: &Layout,
     conv: &ConverterInfo,
     assignment: &ModeAssignment,

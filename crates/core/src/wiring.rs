@@ -36,7 +36,7 @@ pub enum WiringPattern {
 
 impl WiringPattern {
     /// Rotation offset of pod `p` within an edge's core group.
-    pub fn pod_offset(self, p: usize, m: usize, group_size: usize) -> usize {
+    fn pod_offset(self, p: usize, m: usize, group_size: usize) -> usize {
         match self {
             WiringPattern::Pattern1 => (p * m) % group_size,
             WiringPattern::Pattern2 => (p * (m + 1)) % group_size,

@@ -113,7 +113,7 @@ impl ControlFaults {
     }
 
     /// Whether every fault probability is zero.
-    pub fn is_quiet(&self) -> bool {
+    fn is_quiet(&self) -> bool {
         self.ocs_fail_prob == 0.0
             && self.ocs_timeout_prob == 0.0
             && self.rule_fail_prob == 0.0

@@ -56,7 +56,7 @@ fn mask_for_ttl(ttl: u8) -> Option<[u8; 6]> {
 }
 
 /// The output port a transit switch extracts for a header.
-pub fn port_for(header: &SourceRouteHeader) -> Option<u8> {
+fn port_for(header: &SourceRouteHeader) -> Option<u8> {
     let mask = mask_for_ttl(header.ttl)?;
     let hop = (INITIAL_TTL - header.ttl) as usize;
     debug_assert_eq!(mask[hop], 0xff);

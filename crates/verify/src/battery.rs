@@ -116,7 +116,7 @@ fn topologies(scale: &Scale) -> Vec<(String, FlatTreeParams)> {
 }
 
 /// The grid label for a scale.
-pub fn grid_label(scale: &Scale) -> &'static str {
+fn grid_label(scale: &Scale) -> &'static str {
     if scale.smoke {
         "smoke"
     } else if scale.full {

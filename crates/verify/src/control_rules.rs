@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 
 /// FT-C002: the delete and add sets must be disjoint per switch, and
 /// applying `delete` then `add` to `from` must reproduce `to` exactly.
-pub fn rule_churn_findings(label: &str, from: &RuleSet, to: &RuleSet) -> Vec<Finding> {
+fn rule_churn_findings(label: &str, from: &RuleSet, to: &RuleSet) -> Vec<Finding> {
     let mut out = Vec::new();
     let switches: BTreeSet<_> = from
         .per_switch
@@ -51,7 +51,7 @@ pub fn rule_churn_findings(label: &str, from: &RuleSet, to: &RuleSet) -> Vec<Fin
 }
 
 /// FT-C003: the per-switch stage plan must sum to the rule diff.
-pub fn stage_plan_findings(
+fn stage_plan_findings(
     label: &str,
     plan: &[(usize, usize)],
     diff: routing::rules::RuleDiff,

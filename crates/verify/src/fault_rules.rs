@@ -23,7 +23,7 @@ use flowsim::faults::{FaultPlan, FaultSchedule};
 
 /// FT-F001 — the compiled schedule is sorted by `(time, down-before-up,
 /// link)` and every flap with a recovery time has its up event present.
-pub fn check_schedule(plan: &FaultPlan, schedule: &FaultSchedule) -> Vec<Finding> {
+fn check_schedule(plan: &FaultPlan, schedule: &FaultSchedule) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (i, pair) in schedule.events.windows(2).enumerate() {
         let key = |e: &flowsim::LinkEvent| (e.time, e.up, e.link.idx());
@@ -63,7 +63,7 @@ pub fn check_schedule(plan: &FaultPlan, schedule: &FaultSchedule) -> Vec<Finding
 
 /// FT-F002 — every stuck-converter override targets a converter that
 /// exists and forces a configuration its blade kind can latch.
-pub fn check_stuck_targets(ft: &FlatTree, plan: &FaultPlan) -> Vec<Finding> {
+fn check_stuck_targets(ft: &FlatTree, plan: &FaultPlan) -> Vec<Finding> {
     let count = ft.layout.converters.len();
     let mut findings = Vec::new();
     for s in &plan.stuck_converters {
@@ -92,7 +92,7 @@ pub fn check_stuck_targets(ft: &FlatTree, plan: &FaultPlan) -> Vec<Finding> {
 
 /// FT-F003 — the controller shard partition is an exact permutation of
 /// `0..jobs` with every switch assigned to exactly one in-range shard.
-pub fn check_shard_partition(jobs: usize, partition: &[Vec<usize>]) -> Vec<Finding> {
+fn check_shard_partition(jobs: usize, partition: &[Vec<usize>]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut seen = vec![0usize; jobs];
     for (shard, members) in partition.iter().enumerate() {

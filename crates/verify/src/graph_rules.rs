@@ -42,7 +42,7 @@ const MIN_CUT_SAMPLES: usize = 4;
 /// switch reaches any other pod at its entire uplink bundle — while the
 /// converted modes trade structured capacity for path diversity, so the
 /// static floor is survival of any single cable cut.
-pub fn min_cut_floor(ft: &FlatTree, mode: Option<PodMode>) -> u64 {
+fn min_cut_floor(ft: &FlatTree, mode: Option<PodMode>) -> u64 {
     match mode {
         Some(PodMode::Clos) => ft.params().clos.edge_uplinks as u64,
         _ => 2,
@@ -66,7 +66,7 @@ fn sample_pairs(inst: &FlatTreeInstance) -> Vec<(NodeId, NodeId)> {
 }
 
 /// FT-G006: every node (server or switch) must sit in one component.
-pub fn connectivity_findings(inst: &FlatTreeInstance) -> Vec<Finding> {
+fn connectivity_findings(inst: &FlatTreeInstance) -> Vec<Finding> {
     let g = &inst.net.graph;
     let nodes: Vec<NodeId> = g.node_ids().collect();
     let n = components::component_count_among(g, &nodes);
@@ -82,7 +82,7 @@ pub fn connectivity_findings(inst: &FlatTreeInstance) -> Vec<Finding> {
 }
 
 /// FT-G007: sampled min-cuts must meet the mode's Table 1 floor.
-pub fn min_cut_findings(ft: &FlatTree, inst: &FlatTreeInstance) -> Vec<Finding> {
+fn min_cut_findings(ft: &FlatTree, inst: &FlatTreeInstance) -> Vec<Finding> {
     let g = &inst.net.graph;
     let unit = unit_gbps(inst);
     if !unit.is_finite() || unit <= 0.0 {
@@ -108,7 +108,7 @@ pub fn min_cut_findings(ft: &FlatTree, inst: &FlatTreeInstance) -> Vec<Finding> 
 ///
 /// Hybrid assignments are skipped: mixed-mode side bundles legitimately
 /// go dark (§3.5), which makes edge/agg degrees pod-dependent.
-pub fn degree_regularity_findings(inst: &FlatTreeInstance) -> Vec<Finding> {
+fn degree_regularity_findings(inst: &FlatTreeInstance) -> Vec<Finding> {
     if inst.assignment.uniform_mode().is_none() {
         return Vec::new();
     }

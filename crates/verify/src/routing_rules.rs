@@ -36,13 +36,7 @@ fn pair_label(g: &Graph, a: NodeId, b: NodeId) -> String {
 ///
 /// Taking the path set as an argument (rather than computing it) keeps
 /// the rule pure, so the corruption injector can feed it truncated sets.
-pub fn path_set_findings(
-    g: &Graph,
-    a: NodeId,
-    b: NodeId,
-    paths: &[Path],
-    k: usize,
-) -> Vec<Finding> {
+fn path_set_findings(g: &Graph, a: NodeId, b: NodeId, paths: &[Path], k: usize) -> Vec<Finding> {
     let mut out = Vec::new();
     let loc = pair_label(g, a, b);
     if paths.is_empty() {
@@ -97,7 +91,7 @@ pub fn path_set_findings(
 /// FT-R004 (dynamic half): compiles the spliced server-level shortest
 /// path into the MAC+TTL header and replays it with only the static
 /// per-TTL rules; the replay must visit exactly the path's nodes.
-pub fn source_route_replay_findings(
+fn source_route_replay_findings(
     g: &Graph,
     src: NodeId,
     dst: NodeId,
@@ -147,7 +141,7 @@ pub fn source_route_replay_findings(
 /// link on the pair's first subflow, re-routes (the answer must avoid
 /// the dead link), recovers, and re-routes again (the answer must match
 /// the pre-failure routes exactly).
-pub fn cache_epoch_findings(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Finding> {
+fn cache_epoch_findings(g: &Graph, src: NodeId, dst: NodeId, k: usize) -> Vec<Finding> {
     let loc = pair_label(g, src, dst);
     let mut provider = MptcpProvider::new(k, false);
     let mut arena = PathArena::new();
